@@ -25,8 +25,8 @@ RTS_REPLICA_SEEDS ?= 2,11,23
 RTS_APPROX_SEEDS ?= 7,21,63
 
 .PHONY: all build lint test bench-smoke bench-perf bench-alloc bench-shard \
-        bench-par bench-approx diff-bench check check-fault check-net check-shard \
-        check-serve check-replica check-approx clean
+        bench-par bench-approx diff-bench check check-fault check-durable-cost check-net \
+        check-shard check-serve check-replica check-approx clean
 
 all: build
 
@@ -137,12 +137,23 @@ diff-bench: bench-perf bench-shard bench-par bench-approx
 	  $(if $(wildcard BENCH_par.json),--budgets tools/par_budgets.json BENCH_par.json,)
 
 # Fault-injection suite on its own: crash the durable engine at every op
-# boundary (torn writes, bit flips, corrupt checkpoints) for the pinned
-# seeds and assert the recovered maturity log is bit-identical to an
-# uninterrupted run. CI runs this as a separate job.
+# boundary, and at every group append of a batched trace (torn writes, bit
+# flips, corrupt checkpoints), for the pinned seeds and assert the
+# recovered maturity log is bit-identical to an uninterrupted run. CI runs
+# this as a separate job.
 check-fault: build
 	RTS_FAULT_SEEDS=$(RTS_FAULT_SEEDS) $(DUNE) exec test/test_resilience.exe
 	@echo "check-fault: OK"
+
+# Durable-path cost gate: `rts-cli run --wal --batch 1024 --stats` over a
+# generated sheet, with the deterministic durability counters held to the
+# group-commit bound (fsyncs <= batch calls + checkpoints) and the
+# checkpoint-cadence bounds (checkpoints <= ops / checkpoint_every, entries
+# written <= 2 x ops + checkpoint_every). Counters only, never wall clock.
+# CI runs it in the crash-equivalence job.
+check-durable-cost: build
+	tools/check_durable_cost.sh _build/default/bin/rts_cli.exe
+	@echo "check-durable-cost: OK"
 
 # Networked-DT suite on its own: zero-fault parity, maturity-ordinal
 # equivalence under lossy/reordering/duplicating links, the exhaustive

@@ -545,14 +545,22 @@ let run_term =
   let checkpoint_every =
     Arg.(
       value & opt int Durable.default.Durable.checkpoint_every
-      & info [ "checkpoint-every" ] ~docv:"N" ~doc:"Ops between checkpoints (with --wal).")
+      & info [ "checkpoint-every" ] ~docv:"N"
+          ~doc:
+            "Minimum ops between checkpoints (with --wal). The gap also stretches to the \
+             number of live queries the previous checkpoint wrote, so the amortized \
+             checkpoint cost per op stays bounded however many queries are live.")
   in
   let fsync_every =
     Arg.(
       value & opt int Durable.default.Durable.fsync_every
       & info [ "fsync-every" ] ~docv:"N"
-          ~doc:"WAL records per fsync (with --wal); >1 trades a wider crash window for \
-                throughput.")
+          ~doc:
+            "WAL records per fsync (with --wal), checked after each ingest call: every \
+             batch (see $(b,--batch)) is written with one write, and the call that brings \
+             the unsynced records to $(docv) or more fsyncs once before its alerts are \
+             printed. The default 1 makes every printed alert durable; >1 trades a wider \
+             crash window for throughput.")
   in
   let batch =
     Arg.(

@@ -27,19 +27,31 @@ let entry_to_line ((q : Types.query), consumed) =
 (* The CRC covers the header fields as well as the payload (computed
    over "RTSCKPT,1,gen,dim,ops,elements,count\n" ^ payload), so a bit
    flip anywhere in the file — including the op/element ordinals the
-   recovery position depends on — is detected. *)
+   recovery position depends on — is detected. The CRC is chained line
+   by line, so the file is assembled once, in one buffer. *)
 let write ~dir ~gen ~dim ~ops ~elements entries =
   if gen < 0 then invalid_arg "Checkpoint.write: negative generation";
-  let payload = Buffer.create 4096 in
-  List.iter (fun e -> Buffer.add_string payload (entry_to_line e)) entries;
-  let payload = Buffer.contents payload in
+  let lines = List.rev (List.rev_map entry_to_line entries) in
   let header_prefix =
     Printf.sprintf "RTSCKPT,1,%d,%d,%d,%d,%d" gen dim ops elements (List.length entries)
   in
-  let crc = Crc32.string (header_prefix ^ "\n" ^ payload) in
-  let header = Printf.sprintf "%s,%s\n" header_prefix (Crc32.to_hex crc) in
+  let crc =
+    List.fold_left
+      (fun crc line -> Crc32.string ~crc line)
+      (Crc32.string (header_prefix ^ "\n"))
+      lines
+  in
+  let buf =
+    Buffer.create
+      (List.fold_left (fun n l -> n + String.length l) (String.length header_prefix + 10) lines)
+  in
+  Buffer.add_string buf header_prefix;
+  Buffer.add_char buf ',';
+  Buffer.add_string buf (Crc32.to_hex crc);
+  Buffer.add_char buf '\n';
+  List.iter (Buffer.add_string buf) lines;
   let name = filename gen in
-  dir.Io.write_atomic name (header ^ payload);
+  dir.Io.write_atomic name (Buffer.contents buf);
   name
 
 let parse_header name line =

@@ -14,6 +14,8 @@ type handle = {
   mutable ops : int;  (** durable-stream op ordinal of the last applied op *)
   mutable elements : int;
   mutable last_checkpoint_ops : int;
+  mutable last_checkpoint_entries : int;  (** snapshot size of that checkpoint *)
+  mutable checkpoint_entries : int;  (** entries written across all checkpoints *)
   mutable next_gen : int;
   mutable checkpoints : int;
 }
@@ -23,30 +25,37 @@ let count_elements ops =
 
 let checkpoint_now h =
   Wal.sync h.wal;
+  let entries = h.inner.Engine.alive_snapshot () in
   ignore
     (Checkpoint.write ~dir:h.dir ~gen:h.next_gen ~dim:h.inner.Engine.dim ~ops:h.ops
-       ~elements:h.elements
-       (h.inner.Engine.alive_snapshot ()));
+       ~elements:h.elements entries);
+  let n = List.length entries in
   h.checkpoints <- h.checkpoints + 1;
+  h.checkpoint_entries <- h.checkpoint_entries + n;
   h.next_gen <- h.next_gen + 1;
   h.last_checkpoint_ops <- h.ops;
+  h.last_checkpoint_entries <- n;
   Checkpoint.prune ~dir:h.dir ~keep:h.cfg.keep
 
+(* A checkpoint costs O(entries); waiting at least that many ops before
+   the next one keeps the amortized cost O(1) per op for any number of
+   live queries. *)
 let maybe_checkpoint h =
-  if h.ops - h.last_checkpoint_ops >= h.cfg.checkpoint_every then checkpoint_now h
+  if h.ops - h.last_checkpoint_ops >= max h.cfg.checkpoint_every h.last_checkpoint_entries
+  then checkpoint_now h
 
-(* Apply-then-log: the engine validates first, so a rejected op raises
-   before anything reaches the WAL. Crash between apply and append
-   merely shortens the durable prefix by one op — the producer re-feeds
-   it after recovery, which is the same at-least-once window any
-   crash already opens. *)
-let log_no_checkpoint h op =
-  Wal.append h.wal op;
-  h.ops <- h.ops + 1;
-  match op with Replay.Element _ -> h.elements <- h.elements + 1 | _ -> ()
-
-let log h op =
-  log_no_checkpoint h op;
+(* Apply-then-log, one group per call: the engine validates first, so a
+   rejected op raises before anything reaches the WAL; the call's records
+   are then group-committed, and only after that is a checkpoint
+   considered — one taken mid-batch would describe engine state the op
+   count does not cover, and replaying the rest of the batch over it
+   would re-register live ids. A crash inside the append leaves some
+   whole-record prefix of the call durable; the producer re-feeds from
+   [ops_total + 1], the at-least-once window any crash already opens. *)
+let log h ops ~elements =
+  Wal.append_list h.wal ops;
+  h.ops <- h.ops + List.length ops;
+  h.elements <- h.elements + elements;
   maybe_checkpoint h
 
 let durability_metrics h =
@@ -55,6 +64,7 @@ let durability_metrics h =
       ("wal_records_total", Metrics.Counter (Wal.appended h.wal));
       ("wal_fsyncs_total", Metrics.Counter (Wal.fsyncs h.wal));
       ("checkpoints_total", Metrics.Counter h.checkpoints);
+      ("checkpoint_entries_total", Metrics.Counter h.checkpoint_entries);
       ("checkpoint_last_gen", Metrics.Gauge (float_of_int (h.next_gen - 1)));
     ]
 
@@ -89,6 +99,8 @@ let wrap ?(config = default) ?report ?wal_epoch ?(segment_records = 0) ~dir (eng
       ops;
       elements;
       last_checkpoint_ops = ops;
+      last_checkpoint_entries = 0;
+      checkpoint_entries = 0;
       next_gen;
       checkpoints = 0;
     }
@@ -102,36 +114,26 @@ let wrap ?(config = default) ?report ?wal_epoch ?(segment_records = 0) ~dir (eng
       Engine.register =
         (fun q ->
           engine.Engine.register q;
-          log h (Replay.Register q));
+          log h [ Replay.Register q ] ~elements:0);
       register_batch =
         (fun qs ->
           engine.Engine.register_batch qs;
-          (* Log the whole batch before considering a checkpoint: a
-             checkpoint taken mid-batch would describe engine state the
-             op count does not cover, and replaying the rest of the
-             batch over it would re-register live ids. *)
-          List.iter (fun q -> log_no_checkpoint h (Replay.Register q)) qs;
-          maybe_checkpoint h);
+          log h (List.rev (List.rev_map (fun q -> Replay.Register q) qs)) ~elements:0);
       terminate =
         (fun id ->
           engine.Engine.terminate id;
-          log h (Replay.Terminate id));
+          log h [ Replay.Terminate id ] ~elements:0);
       process =
         (fun e ->
           let matured = engine.Engine.process e in
-          log h (Replay.Element e);
+          log h [ Replay.Element e ] ~elements:1;
           matured);
       feed_batch =
         (fun elems ->
           let matured = engine.Engine.feed_batch elems in
-          (* Same apply-then-log discipline as [register_batch]: append
-             every element before considering a checkpoint, so no
-             checkpoint describes a half-applied batch. A crash inside
-             the append loop widens the at-least-once window to the whole
-             batch — the producer re-feeds from its last acknowledged
-             batch boundary, exactly as it re-feeds a single element. *)
-          Array.iter (fun e -> log_no_checkpoint h (Replay.Element e)) elems;
-          maybe_checkpoint h;
+          log h
+            (Array.fold_right (fun e acc -> Replay.Element e :: acc) elems [])
+            ~elements:(Array.length elems);
           matured);
       metrics =
         (fun () ->

@@ -7,13 +7,27 @@
       checksummed {!Wal} in [dir] — {e after} applying it, so an op the
       engine rejects (duplicate id, bad query) never pollutes the log
       and can never poison a future recovery;
-    - every [checkpoint_every] ops, fsyncs the WAL and atomically
-      publishes a {!Checkpoint} generation built from the engine's
-      [alive_snapshot], then prunes generations beyond [keep];
+    - group-commits each call: a [register_batch] or [feed_batch] call
+      is one {!Wal.append_list} — one write for the whole batch (split
+      only at segment boundaries) and, once [fsync_every] records are
+      unsynced, one fsync {e before the call returns}. [fsync_every] is
+      therefore checked at call boundaries: at the default 1 every call
+      is durable when it returns, so a producer that acknowledges only
+      what a call has returned never acknowledges a losable op;
+    - at the end of a call, once the ops since the last checkpoint
+      reach [max checkpoint_every e] — [e] being the number of entries
+      that checkpoint wrote (0 before the first) — fsyncs the WAL and
+      atomically publishes a {!Checkpoint} generation built from the
+      engine's [alive_snapshot], then prunes generations beyond [keep].
+      Each O(m) snapshot is paid for by at least m ops, so checkpoint
+      cost is O(1) amortized per op for any number m of live queries,
+      and the entries written across all checkpoints never exceed
+      twice the ops logged;
     - folds the durability counters ([wal_records_total],
-      [wal_fsyncs_total], [checkpoints_total]) — and, when a
-      {!Recovery.report} is supplied, the [recovery_*] metrics — into
-      the engine's [metrics] snapshot.
+      [wal_fsyncs_total], [checkpoints_total],
+      [checkpoint_entries_total]) — and, when a {!Recovery.report} is
+      supplied, the [recovery_*] metrics — into the engine's [metrics]
+      snapshot.
 
     Crash contract: if the process dies at any moment, [Recovery.recover
     ~dir] yields an engine equal to this one as of some durable prefix
@@ -31,8 +45,12 @@
 open Rts_core
 
 type config = {
-  fsync_every : int;  (** WAL fsync batching (default 1 — every op). *)
-  checkpoint_every : int;  (** Ops between checkpoints (default 1024). *)
+  fsync_every : int;
+      (** WAL records per fsync, checked at the end of each call
+          (default 1 — every call is durable before it returns). *)
+  checkpoint_every : int;
+      (** Floor on the ops between checkpoints (default 1024); the gap
+          also stretches to the size of the previous checkpoint. *)
   keep : int;  (** Checkpoint generations retained (default 2). *)
 }
 

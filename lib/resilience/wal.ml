@@ -10,9 +10,19 @@ exception Fenced of { requested : int; found : int }
    rest of the file as one giant pending record. *)
 let max_payload = 1_000_000
 
-let frame op =
+let add_frame buf op =
   let payload = Replay.op_to_line op in
-  Printf.sprintf "%d,%s,%s\n" (String.length payload) (Crc32.to_hex (Crc32.string payload)) payload
+  Buffer.add_string buf (string_of_int (String.length payload));
+  Buffer.add_char buf ',';
+  Buffer.add_string buf (Crc32.to_hex (Crc32.string payload));
+  Buffer.add_char buf ',';
+  Buffer.add_string buf payload;
+  Buffer.add_char buf '\n'
+
+let frame op =
+  let buf = Buffer.create 64 in
+  add_frame buf op;
+  Buffer.contents buf
 
 type scanned = {
   ops : Replay.op list;
@@ -307,6 +317,7 @@ type writer = {
   fsync_every : int;
   segment_records : int;
   epoch : int;
+  buf : Buffer.t;  (** group-commit staging, reused across appends *)
   mutable file : Io.file;
   mutable active_base : int;
   mutable active_records : int;
@@ -320,7 +331,7 @@ type writer = {
 let rewrite_active dir name ~epoch ~base ops =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (active_header ~epoch ~base);
-  List.iter (fun op -> Buffer.add_string buf (frame op)) ops;
+  List.iter (add_frame buf) ops;
   dir.Io.write_atomic name (Buffer.contents buf)
 
 let writer ?(fsync_every = 1) ?(file = default_file) ?epoch ?(segment_records = 0) ~dim ~dir () =
@@ -376,6 +387,7 @@ let writer ?(fsync_every = 1) ?(file = default_file) ?epoch ?(segment_records = 
     fsync_every;
     segment_records;
     epoch;
+    buf = Buffer.create 4096;
     file = handle;
     active_base;
     active_records;
@@ -407,7 +419,7 @@ let rotate w =
       if arecords > 0 then begin
         let buf = Buffer.create 1024 in
         Buffer.add_string buf (segment_header ~epoch:w.epoch ~base:abase ~count:arecords);
-        List.iter (fun op -> Buffer.add_string buf (frame op)) aops;
+        List.iter (add_frame buf) aops;
         w.dir.Io.write_atomic (segment_name ~file:w.name abase) (Buffer.contents buf);
         rewrite_active w.dir w.name ~epoch:w.epoch ~base:(abase + arecords) [];
         w.active_base <- abase + arecords;
@@ -416,14 +428,39 @@ let rotate w =
       end);
   w.file <- w.dir.Io.open_append w.name
 
-let append w op =
-  if w.closed then invalid_arg "Wal.append: writer is closed";
-  w.file.Io.append (frame op);
-  w.appended <- w.appended + 1;
-  w.active_records <- w.active_records + 1;
-  w.since_sync <- w.since_sync + 1;
-  if w.since_sync >= w.fsync_every then sync w;
-  if w.segment_records > 0 && w.active_records >= w.segment_records then rotate w
+(* Group commit: the call's records go out in one [Io.file.append] per
+   active-file stretch (a group that crosses a segment boundary is split
+   there, so every sealed segment holds exactly [segment_records]
+   records), and the fsync batch is checked once, at the end of the
+   call. *)
+let append_list w ops =
+  if w.closed then invalid_arg "Wal.append_list: writer is closed";
+  let rec go = function
+    | [] -> ()
+    | ops ->
+        let room =
+          if w.segment_records > 0 then max 1 (w.segment_records - w.active_records)
+          else max_int
+        in
+        Buffer.clear w.buf;
+        let rec encode n = function
+          | op :: rest when n < room ->
+              add_frame w.buf op;
+              encode (n + 1) rest
+          | rest -> (n, rest)
+        in
+        let n, rest = encode 0 ops in
+        w.file.Io.append (Buffer.contents w.buf);
+        w.appended <- w.appended + n;
+        w.active_records <- w.active_records + n;
+        w.since_sync <- w.since_sync + n;
+        if w.segment_records > 0 && w.active_records >= w.segment_records then rotate w;
+        go rest
+  in
+  go ops;
+  if w.since_sync >= w.fsync_every then sync w
+
+let append w op = append_list w [ op ]
 
 let close w =
   if not w.closed then begin

@@ -48,11 +48,23 @@
     highest one already in the directory raises {!Fenced}: a deposed
     primary cannot extend a log its successor has taken over.
 
-    Durability: {!append} buffers in the OS via {!Io.file.append};
-    records become crash-proof when the writer fsyncs — every
-    [fsync_every] records, or explicitly via {!sync} (the {!Durable}
-    wrapper syncs before each checkpoint so the checkpoint never claims
-    ops the log could lose). *)
+    {2 Group commit}
+
+    {!append_list} is the one append path ({!append} is its
+    one-element case). A call encodes its records into a buffer the
+    writer owns and reuses, and hands them to the OS in a single
+    {!Io.file.append}; a group that crosses a segment boundary is split
+    there, one append per stretch, so every sealed segment still holds
+    exactly [segment_records] records. Records become crash-proof when
+    the writer fsyncs. [fsync_every] is counted in records but checked
+    at {e call} boundaries: the call that brings the unsynced count to
+    [fsync_every] or more syncs once, before it returns. At the default
+    [fsync_every = 1] every call therefore returns only after its
+    records are durable, whatever their number. A crash inside a call
+    can leave any prefix of its bytes behind; the scanner keeps the
+    whole records of that prefix. {!sync} forces the tail durable now
+    (the {!Durable} wrapper syncs before each checkpoint so the
+    checkpoint never claims ops the log could lose). *)
 
 open Rts_workload
 
@@ -129,9 +141,11 @@ val writer :
     scanned first; the active file's torn tail is truncated away, and a
     rotation-crash overlap is resolved (the active file is rewritten to
     start where the cold chain ends), so new records always extend the
-    intact chain. [fsync_every] (default 1: sync every record, the safe
-    end of the spectrum) batches fsyncs for throughput at the price of
-    a wider lost-suffix window on crash.
+    intact chain. [fsync_every] (default 1: every append call syncs
+    before it returns, the safe end of the spectrum) batches fsyncs for
+    throughput at the price of a wider lost-suffix window on crash; it
+    is checked at the end of each {!append_list} call (see "Group
+    commit").
 
     [epoch] (default: inherit whatever the chain carries) stamps this
     incarnation's epoch into the active header and every segment it
@@ -147,9 +161,14 @@ val existing : writer -> scanned
 val epoch : writer -> int
 (** The epoch this writer stamps (after inheritance/fencing). *)
 
+val append_list : writer -> Replay.op list -> unit
+(** Group-commit the records: one {!Io.file.append} per active-file
+    stretch (rotating whenever a segment fills), then one fsync if
+    [fsync_every] records or more are unsynced. The empty list does
+    nothing. *)
+
 val append : writer -> Replay.op -> unit
-(** Frame and append one record; fsyncs if the batch is due, rotates if
-    the segment is full. *)
+(** [append w op] is [append_list w [op]]. *)
 
 val sync : writer -> unit
 (** Force outstanding records durable now. No-op if none are pending. *)

@@ -886,6 +886,385 @@ let prop_crash_equivalence =
       ignore (run_crash_case c);
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Group commit: syscall counts and ordering                           *)
+(* ------------------------------------------------------------------ *)
+
+type io_event =
+  | Append of int  (** records in the bytes handed to one append *)
+  | Sync
+  | Atomic of string * string  (** name, contents *)
+  | Returned  (** marker the test pushes when a wrapped call returns *)
+
+let count_newlines s =
+  let n = ref 0 in
+  String.iter (fun c -> if c = '\n' then incr n) s;
+  !n
+
+(* Records every append/sync/write_atomic that reaches [d], in order. *)
+let recording_dir (d : Io.dir) =
+  let events = ref [] in
+  let push ev = events := ev :: !events in
+  let open_append name =
+    let f = d.Io.open_append name in
+    {
+      f with
+      Io.append =
+        (fun s ->
+          push (Append (count_newlines s));
+          f.Io.append s);
+      sync =
+        (fun () ->
+          push Sync;
+          f.Io.sync ());
+    }
+  in
+  let write_atomic name s =
+    push (Atomic (name, s));
+    d.Io.write_atomic name s
+  in
+  (events, { d with Io.open_append; write_atomic })
+
+(* The events of each call, in call order, split at [Returned]. *)
+let per_call events =
+  let calls, last =
+    List.fold_left
+      (fun (calls, cur) ev ->
+        match ev with Returned -> (List.rev cur :: calls, []) | ev -> (calls, ev :: cur))
+      ([], []) (List.rev events)
+  in
+  assert (last = []);
+  List.rev calls
+
+let elems_of seed n =
+  let rng = Prng.create ~seed in
+  Array.init n (fun _ -> e (float_of_int (Prng.int rng 25)) (1 + Prng.int rng 5))
+
+let test_group_commit_one_append_one_sync () =
+  let events, dir = recording_dir (Io.mem_dir ()) in
+  let cfg = { Durable.fsync_every = 1; checkpoint_every = max_int; keep = 2 } in
+  let durable, h = Durable.wrap ~config:cfg ~dir (Dt_engine.make ~dim:1) in
+  let returned () = events := Returned :: !events in
+  events := [];
+  let sizes = [ 5; 1; 64; 3; 17 ] in
+  durable.Engine.register_batch
+    (List.init 40 (fun id -> q ~id ~threshold:(10 + id) (float_of_int id, float_of_int id +. 5.)));
+  returned ();
+  List.iteri
+    (fun i n ->
+      ignore (durable.Engine.feed_batch (elems_of i n));
+      returned ())
+    sizes;
+  List.iteri
+    (fun i evs ->
+      let expected = Append (if i = 0 then 40 else List.nth sizes (i - 1)) in
+      if evs <> [ expected; Sync ] then
+        Alcotest.failf "call %d: expected one append of the whole batch, then one sync" i)
+    (per_call !events);
+  let m = durable.Engine.metrics () in
+  Alcotest.(check int) "one fsync per call" (1 + List.length sizes)
+    (Metrics.counter_value m "wal_fsyncs_total");
+  Durable.close h
+
+let test_group_commit_fsync_every_k () =
+  let k = 7 in
+  let events, dir = recording_dir (Io.mem_dir ()) in
+  let cfg = { Durable.fsync_every = k; checkpoint_every = max_int; keep = 2 } in
+  let durable, _h = Durable.wrap ~config:cfg ~dir (Dt_engine.make ~dim:1) in
+  events := [];
+  let rng = Prng.create ~seed:5 in
+  let sizes = List.init 40 (fun _ -> 1 + Prng.int rng 9) in
+  List.iteri
+    (fun i n ->
+      ignore (durable.Engine.feed_batch (elems_of (100 + i) n));
+      events := Returned :: !events)
+    sizes;
+  (* model: the sync fires at the first call boundary at or past k
+     unsynced records, and only there *)
+  let pending = ref 0 in
+  List.iteri
+    (fun i (n, evs) ->
+      pending := !pending + n;
+      let expected =
+        if !pending >= k then (
+          pending := 0;
+          [ Append n; Sync ])
+        else [ Append n ]
+      in
+      if evs <> expected then Alcotest.failf "call %d (%d records): wrong append/sync events" i n)
+    (List.combine sizes (per_call !events))
+
+let test_group_commit_splits_at_segments () =
+  let seg = 3 in
+  let store = Io.mem_dir () in
+  let events, dir = recording_dir store in
+  let cfg = { Durable.fsync_every = 1; checkpoint_every = max_int; keep = 2 } in
+  let durable, h =
+    Durable.wrap ~config:cfg ~segment_records:seg ~dir (Baseline_engine.make ~dim:1)
+  in
+  let sizes = [ 7; 2; 10; 1; 4 ] in
+  let batches = List.mapi (fun i n -> elems_of (200 + i) n) sizes in
+  events := [];
+  List.iter
+    (fun b ->
+      ignore (durable.Engine.feed_batch b);
+      events := Returned :: !events)
+    batches;
+  Durable.close h;
+  List.iteri
+    (fun i (n, evs) ->
+      let appended = List.filter_map (function Append r -> Some r | _ -> None) evs in
+      Alcotest.(check int) (Printf.sprintf "call %d: all records appended" i) n
+        (List.fold_left ( + ) 0 appended);
+      if List.exists (fun r -> r > seg) appended then
+        Alcotest.failf "call %d: an append crossed a segment boundary" i)
+    (List.combine sizes (per_call !events));
+  let total = List.fold_left ( + ) 0 sizes in
+  let segs = Wal.segments ~dir:store () in
+  Alcotest.(check int) "sealed segments" (total / seg) (List.length segs);
+  List.iter
+    (fun s -> Alcotest.(check int) "every sealed segment is full" seg s.Wal.seg_count)
+    segs;
+  let s = Wal.scan ~dim:1 ~dir:store () in
+  Alcotest.(check bool) "chain scan is the full op list" true
+    (s.Wal.ops = List.concat_map (fun b -> Array.to_list (Array.map (fun x -> Replay.Element x) b)) batches)
+
+(* ------------------------------------------------------------------ *)
+(* Batched traces: crash coverage and checkpoint cadence               *)
+(* ------------------------------------------------------------------ *)
+
+type call = Reg_batch of Types.query list | Feed of Types.elem array | Term of int
+
+let call_ops = function
+  | Reg_batch qs -> List.map (fun qq -> Replay.Register qq) qs
+  | Feed els -> Array.to_list (Array.map (fun el -> Replay.Element el) els)
+  | Term id -> [ Replay.Terminate id ]
+
+let call_size c = List.length (call_ops c)
+
+(* A random mix of register_batch / feed_batch / terminate calls, built
+   against a live engine so every terminate names an alive query. *)
+let batched_trace ?(max_reg = 6) ?(max_feed = 12) seed ncalls =
+  let rng = Prng.create ~seed in
+  let engine = Baseline_engine.make ~dim:1 in
+  let alive = ref [] and next = ref 0 and calls = ref [] in
+  for _ = 1 to ncalls do
+    let c =
+      match Prng.int rng 10 with
+      | 0 | 1 | 2 ->
+          Reg_batch
+            (List.init
+               (1 + Prng.int rng max_reg)
+               (fun _ ->
+                 let a = float_of_int (Prng.int rng 20) in
+                 let id = !next in
+                 incr next;
+                 q ~id ~threshold:(1 + Prng.int rng 40)
+                   (a, a +. 1. +. float_of_int (Prng.int rng 10))))
+      | 3 when !alive <> [] -> Term (List.nth !alive (Prng.int rng (List.length !alive)))
+      | _ -> Feed (elems_of (Prng.int rng 1_000_000) (1 + Prng.int rng max_feed))
+    in
+    (match c with
+    | Reg_batch qs ->
+        engine.Engine.register_batch qs;
+        alive := List.map (fun (qq : Types.query) -> qq.id) qs @ !alive
+    | Term id ->
+        engine.Engine.terminate id;
+        alive := List.filter (( <> ) id) !alive
+    | Feed els ->
+        let matured = engine.Engine.feed_batch els in
+        alive := List.filter (fun i -> not (List.mem i matured)) !alive);
+    calls := c :: !calls
+  done;
+  List.rev !calls
+
+(* Drive calls through [engine], logging (element ordinal at the end of
+   the call, id) per maturity, until the simulated crash. Returns the log,
+   the elements and ops of the calls that RETURNED (the acknowledged
+   prefix), and how many calls that is. *)
+let feed_calls engine calls ~base_elems =
+  let log = ref [] and elems = ref base_elems and ops = ref 0 and acked = ref 0 in
+  (try
+     List.iter
+       (fun c ->
+         (match c with
+         | Reg_batch qs -> engine.Engine.register_batch qs
+         | Term id -> engine.Engine.terminate id
+         | Feed els ->
+             let matured = engine.Engine.feed_batch els in
+             elems := !elems + Array.length els;
+             List.iter (fun id -> log := (!elems, id) :: !log) matured);
+         ops := !ops + call_size c;
+         incr acked)
+       calls
+   with Fault.Crash _ -> ());
+  (List.rev !log, !elems, !ops, !acked)
+
+(* Maps an element ordinal to the ordinal of the last element of its
+   batch: the granularity at which a batched producer sees maturities. *)
+let batch_end_of calls =
+  let ends = ref [] and n = ref 0 in
+  List.iter
+    (function
+      | Feed els ->
+          let last = !n + Array.length els in
+          for _ = 1 to Array.length els do
+            ends := last :: !ends
+          done;
+          n := last
+      | _ -> ())
+    calls;
+  let ends = Array.of_list (0 :: List.rev !ends) in
+  fun o -> ends.(o)
+
+let rec split_ops n = function
+  | c :: rest when n > 0 ->
+      let k = call_size c in
+      if k <= n then split_ops (n - k) rest
+      else
+        (* the call is partly durable: re-feed only its tail *)
+        let tail =
+          match c with
+          | Reg_batch qs -> Reg_batch (drop n qs)
+          | Feed els -> Feed (Array.sub els n (Array.length els - n))
+          | Term _ -> assert false
+        in
+        tail :: rest
+  | calls -> calls
+
+let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> []
+
+let run_batched_crash_case ~seed ~fault_seed ~crash_at ~torn ~bit_flip ~checkpoint_every
+    ~segment_records ~engine =
+  let pp () =
+    Printf.sprintf
+      "seed=%d fault_seed=%d crash_at=%d torn=%b bit_flip=%b ckpt_every=%d seg=%d engine=%s"
+      seed fault_seed crash_at torn bit_flip checkpoint_every segment_records engine
+  in
+  let make = if engine = "dt" then make_dt else make_baseline in
+  let calls = batched_trace seed 40 in
+  let ops = List.concat_map call_ops calls in
+  let reference = Replay.replay_ops (Baseline_engine.make ~dim:1) ops in
+  let batch_end = batch_end_of calls in
+  let by_batch log = List.sort compare (List.map (fun (o, id) -> (batch_end o, id)) log) in
+  let store = Io.mem_dir () in
+  let fdir =
+    Fault.wrap ~rng:(Prng.create ~seed:fault_seed)
+      { Fault.no_crash with Fault.crash_at_append = crash_at; torn; bit_flip }
+      store
+  in
+  let cfg = { Durable.fsync_every = 1; checkpoint_every; keep = 2 } in
+  let durable, _h = Durable.wrap ~config:cfg ~segment_records ~dir:fdir (make ~dim:1) in
+  let pre_log, pre_elems, acked_ops, acked_calls = feed_calls durable calls ~base_elems:0 in
+  if
+    List.sort compare pre_log
+    <> by_batch (List.filter (fun (o, _) -> o <= pre_elems) reference.Replay.maturities)
+  then Alcotest.failf "%s: pre-crash log diverged from reference" (pp ());
+  let applied =
+    acked_ops + match List.nth_opt calls acked_calls with Some c -> call_size c | None -> 0
+  in
+  let engine2, report = Recovery.recover ~dim:1 ~make ~dir:store () in
+  let total = report.Recovery.ops_total in
+  (* acknowledged => durable (fsync_every = 1), and never past what was applied *)
+  if total < acked_ops || total > applied then
+    Alcotest.failf "%s: recovered %d ops, acknowledged %d, applied %d" (pp ()) total acked_ops
+      applied;
+  let s = Wal.scan ~dim:1 ~dir:store () in
+  if s.Wal.base + s.Wal.records <> total || s.Wal.ops <> take s.Wal.records (drop s.Wal.base ops)
+  then Alcotest.failf "%s: WAL is not a whole-record prefix of the applied ops" (pp ());
+  (* the producer holds everything from its last acknowledged call on,
+     and re-feeds it past the recovered position *)
+  let unacked = drop acked_calls calls in
+  let resume = split_ops (total - acked_ops) unacked in
+  let durable2, h2 = Durable.wrap ~config:cfg ~report ~segment_records ~dir:store engine2 in
+  let cont_log, _, _, _ =
+    feed_calls durable2 resume ~base_elems:report.Recovery.elements_total
+  in
+  Durable.close h2;
+  let expected =
+    by_batch
+      (List.filter
+         (fun (o, _) -> o > report.Recovery.checkpoint_elements)
+         reference.Replay.maturities)
+  in
+  if List.sort compare (by_batch report.Recovery.maturities @ cont_log) <> expected then
+    Alcotest.failf "%s: recovered log diverged from reference" (pp ())
+
+(* Crash at every append boundary of a batched trace: each call is one
+   group, so every group is cut at every possible point (torn), with and
+   without a corrupted survivor, over single-file and segmented logs. *)
+let test_batched_crash_equivalence_exhaustive () =
+  List.iter
+    (fun seed ->
+      let appends = List.length (batched_trace seed 40) in
+      List.iter
+        (fun segment_records ->
+          (* segment splits add appends; sweep past the end either way *)
+          for crash_at = 1 to (2 * appends) + 1 do
+            run_batched_crash_case ~seed ~fault_seed:((seed * 7919) + crash_at) ~crash_at
+              ~torn:(crash_at mod 4 <> 0) ~bit_flip:(crash_at mod 3 = 0)
+              ~checkpoint_every:(3 + (crash_at mod 9))
+              ~segment_records
+              ~engine:(if crash_at mod 2 = 0 then "dt" else "baseline")
+          done)
+        [ 0; 5 ])
+    (fault_seeds ())
+
+(* The cadence rule, over random mixes of batch calls with registration
+   batches large enough that snapshots outgrow [checkpoint_every]. *)
+let prop_checkpoint_cadence =
+  let gen =
+    QCheck.Gen.(
+      triple (int_bound 1_000_000) (int_range 5 80) (int_range 1 20))
+  in
+  QCheck.Test.make ~count:(Qcheck_env.count 100) ~name:"checkpoint cadence bound"
+    (QCheck.make
+       ~print:(fun (s, n, c) -> Printf.sprintf "seed=%d calls=%d checkpoint_every=%d" s n c)
+       gen)
+    (fun (seed, ncalls, checkpoint_every) ->
+      let calls = batched_trace ~max_reg:30 seed ncalls in
+      let events, dir = recording_dir (Io.mem_dir ()) in
+      let cfg = { Durable.fsync_every = 1; checkpoint_every; keep = 2 } in
+      let durable, h = Durable.wrap ~config:cfg ~dir (Dt_engine.make ~dim:1) in
+      let _, _, ops, _ = feed_calls durable calls ~base_elems:0 in
+      let m = durable.Engine.metrics () in
+      Durable.close h;
+      let written =
+        List.fold_left
+          (fun n -> function
+            | Atomic (name, data) when Checkpoint.parse_filename name <> None ->
+                n + count_newlines data - 1
+            | _ -> n)
+          0 !events
+      in
+      let largest = List.fold_left (fun n c -> max n (call_size c)) 0 calls in
+      let _, report = Recovery.recover ~dim:1 ~make:make_dt ~dir () in
+      let last_entries =
+        match report.Recovery.checkpoint_gen with
+        | Some g -> (fst (Checkpoint.load ~dir (Checkpoint.filename g))).Checkpoint.count
+        | None -> 0
+      in
+      written = Metrics.counter_value m "checkpoint_entries_total"
+      && written <= (2 * ops) + checkpoint_every
+      && report.Recovery.ops_replayed <= max checkpoint_every last_entries + largest)
+
+let test_checkpoint_golden_image () =
+  (* a fixed snapshot must keep producing the same bytes: the file
+     format (header fields, CRC coverage, entry lines) is on disk and
+     read back by every later version *)
+  let dir = Io.mem_dir () in
+  let entries =
+    [
+      (q ~id:1 ~threshold:7 (0., 10.), 4);
+      (q ~id:5 ~threshold:2 (3., 4.5), 0);
+      (q ~id:42 ~threshold:1000 (0.1, 0.30000000000000004), 999);
+    ]
+  in
+  let name = Checkpoint.write ~dir ~gen:12 ~dim:1 ~ops:345 ~elements:300 entries in
+  Alcotest.(check string) "byte-identical image"
+    "RTSCKPT,1,12,1,345,300,3,ed752109\n4,1,7,0,10\n0,5,2,3,4.5\n999,42,1000,0.1,0.30000000000000004\n"
+    (Option.get (dir.Io.read_file name))
+
 let () =
   Alcotest.run "resilience"
     [
@@ -923,6 +1302,8 @@ let () =
           Alcotest.test_case "semantic validation" `Quick test_checkpoint_semantic_validation;
           Alcotest.test_case "generations and prune" `Quick
             test_checkpoint_generations_and_prune;
+          Alcotest.test_case "fixed snapshot, byte-identical file" `Quick
+            test_checkpoint_golden_image;
         ] );
       ( "recovery",
         [
@@ -944,6 +1325,16 @@ let () =
           Alcotest.test_case "register_batch vs checkpoint boundary" `Quick
             test_durable_register_batch_checkpoint_boundary;
           Alcotest.test_case "bad config rejected" `Quick test_durable_bad_config;
+          QCheck_alcotest.to_alcotest prop_checkpoint_cadence;
+        ] );
+      ( "group-commit",
+        [
+          Alcotest.test_case "one append and one sync per batch call" `Quick
+            test_group_commit_one_append_one_sync;
+          Alcotest.test_case "fsync_every counted at call boundaries" `Quick
+            test_group_commit_fsync_every_k;
+          Alcotest.test_case "groups split at segment boundaries" `Quick
+            test_group_commit_splits_at_segments;
         ] );
       ( "crash-equivalence",
         [
@@ -952,6 +1343,8 @@ let () =
           Alcotest.test_case "crash during checkpoint publication" `Quick
             test_crash_during_checkpoint_publication;
           QCheck_alcotest.to_alcotest prop_crash_equivalence;
+          Alcotest.test_case "batched calls, every crash point" `Slow
+            test_batched_crash_equivalence_exhaustive;
         ] );
       ( "short-write-enospc",
         [
