@@ -182,10 +182,14 @@ check-shard: build
 # the maturity stream every subscriber saw is bit-identical to the WAL
 # oracle — exactly once, never early, across every crash and restart.
 # Then one soak through the real rts-serve binary for an end-to-end
-# smoke. CI runs this as a separate job on both compiler legs.
+# smoke, and a session smoke (tools/check_session.sh: the README
+# transcript plus an unparseable line and an oversize batch, each of
+# which must get a final reply within 10 s). CI runs this as a separate
+# job on both compiler legs.
 check-serve: build
 	RTS_SERVE_SEEDS=$(RTS_SERVE_SEEDS) $(DUNE) exec test/test_serve.exe
 	$(DUNE) exec bin/rts_serve.exe -- soak --seed 3 --quiet
+	tools/check_session.sh _build/default/bin/rts_serve.exe
 	@echo "check-serve: OK"
 
 # Replicated-serving suite on its own: rep codec, clean replication,

@@ -10,7 +10,7 @@
 
      op,main,R,1,500,10,90          # register query 1
      op,main,E,42,100               # feed one element
-     batch,main,E,42,100;E,17,100   # feed a batch
+     batch,main,42,100;17,100       # feed a batch
      sub,main                       # subscribe to maturity pushes
      stats                          # metric snapshot
      shutdown                       # drain, sync, exit                  *)
@@ -19,8 +19,7 @@ open Rts_core
 open Cmdliner
 module Frame = Rts_serve.Frame
 module Server = Rts_serve.Server
-module Client = Rts_serve.Client
-module Hub = Rts_serve.Hub
+module Vclock = Rts_net.Vclock
 module Soak = Rts_serve.Soak
 module Cluster = Rts_replica.Cluster
 module Rsoak = Rts_replica.Rsoak
@@ -436,19 +435,8 @@ let failover_doc =
 
 (* ---------------- session ---------------- *)
 
-let session_cmd engine_kind dim wal_dir role net_rto net_rto_max net_degrade_after
-    net_rto_jitter =
+let session_cmd engine_kind dim wal_dir =
   protect @@ fun () ->
-  let role =
-    match role with
-    | "primary" -> Server.Primary
-    | "replica" -> Server.Replica
-    | s -> fail "unknown --role %S (primary | replica)" s
-  in
-  let reliable =
-    reliable_config ~rto:net_rto ~rto_max:net_rto_max ~degrade_after:net_degrade_after
-      ~jitter:net_rto_jitter
-  in
   let provider ~tenant ~incarnation:_ =
     match wal_dir with
     | Some root -> Io.fs_dir (Filename.concat root tenant)
@@ -457,20 +445,24 @@ let session_cmd engine_kind dim wal_dir role net_rto net_rto_max net_degrade_aft
   (* In-memory dirs cannot survive restarts, so each incarnation of a
      memory-backed tenant starts empty — fine for a live session, which
      has no fault injection. With --wal, recovery is real: kill the
-     session and re-run it to resume every tenant from disk. *)
-  let hub =
-    Hub.create
-      ~server_config:{ Server.default with Server.dim }
-      ~reliable ~clients:1
+     session and re-run it to resume every tenant from disk. The server
+     is called directly: its replies and pushes go straight to stdout,
+     and a [retry] is printed like any other reply, never resubmitted. *)
+  let clock = Vclock.create () in
+  let reply f = Printf.printf "%s\n" (Frame.server_to_string f) in
+  let server =
+    Server.create
+      ~config:{ Server.default with Server.dim }
+      ~clock
       ~make:(fun ~dim -> make_engine engine_kind ~dim)
-      ~provider ()
+      ~provider
+      ~send:(fun ~dst:_ f -> reply f)
+      ()
   in
-  Server.set_role (Hub.server hub) role;
-  let client = Hub.client hub 0 in
-  let print_replies () =
-    List.iter
-      (fun f -> Printf.printf "%s\n%!" (Frame.server_to_string f))
-      (Client.take_transcript client)
+  let step f =
+    f ();
+    Vclock.run_until_idle clock;
+    flush stdout
   in
   Printf.eprintf
     "rts-serve: session ready (engine=%s dim=%d%s); one frame per line, 'shutdown' to exit\n%!"
@@ -478,23 +470,16 @@ let session_cmd engine_kind dim wal_dir role net_rto net_rto_max net_degrade_aft
     dim
     (match wal_dir with Some d -> ", wal=" ^ d | None -> ", in-memory");
   (try
-     while not (Client.got_bye client) do
+     while not (Server.is_shutdown server) do
        let line = input_line stdin in
-       if String.trim line <> "" then begin
-         match Frame.client_of_string ~dim line with
-         | Error msg -> Printf.printf "rejected,%S\n%!" msg
-         | Ok frame ->
-             Client.enqueue client frame;
-             Hub.run hub;
-             print_replies ()
-       end
+       if String.trim line <> "" then
+         step (fun () ->
+             match Frame.client_of_string ~dim line with
+             | Ok frame -> Server.handle server ~src:0 frame
+             | Error message -> reply (Frame.Rejected { message }))
      done
    with End_of_file ->
-     if not (Server.is_shutdown (Hub.server hub)) then begin
-       Server.shutdown (Hub.server hub);
-       Hub.run hub;
-       print_replies ()
-     end);
+     if not (Server.is_shutdown server) then step (fun () -> Server.shutdown server));
   0
 
 let session_term =
@@ -507,18 +492,7 @@ let session_term =
             "Root directory for per-tenant durable state (subdirectory per tenant). \
              Re-running with the same root resumes every tenant from its WAL.")
   in
-  let role =
-    Arg.(
-      value & opt string "primary"
-      & info [ "role" ] ~docv:"ROLE"
-          ~doc:
-            "Serving role: primary accepts client traffic; replica answers data frames with \
-             retry-after (clients retarget on the next view change) and only applies ops \
-             shipped by a primary, as in the failover harness.")
-  in
-  Term.(
-    const session_cmd $ engine_arg $ dim_arg $ wal $ role $ net_rto_arg $ net_rto_max_arg
-    $ net_degrade_after_arg $ net_rto_jitter_arg)
+  Term.(const session_cmd $ engine_arg $ dim_arg $ wal)
 
 let session_doc = "Interactive single-process serving session: wire-protocol frames on stdin, \
                    replies and maturity pushes on stdout."

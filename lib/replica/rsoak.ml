@@ -1,6 +1,5 @@
 module Prng = Rts_util.Prng
 module Replay = Rts_workload.Replay
-module Generator = Rts_workload.Generator
 module Io = Rts_resilience.Io
 module Fault = Rts_resilience.Fault
 module Wal = Rts_resilience.Wal
@@ -9,7 +8,7 @@ module Net_fault = Rts_net.Net_fault
 module Metrics = Rts_obs.Metrics
 module Server = Rts_serve.Server
 module Client = Rts_serve.Client
-module Frame = Rts_serve.Frame
+module Oracle = Rts_serve.Oracle
 
 type scenario = Clean | Kill of int | Wedge of { at : int; duration : int }
 
@@ -59,66 +58,6 @@ let default =
       };
   }
 
-(* Deterministic seed mixing; same construction as Soak.mix (pinned
-   seeds appear in CI, so no Hashtbl.hash). *)
-let mix seed name incarnation =
-  let h = ref (seed * 1_000_003) in
-  String.iter (fun c -> h := (!h * 31) + Char.code c) name;
-  h := (!h * 31) + incarnation;
-  !h land 0x3FFFFFFF
-
-let draw_plan cfg rng =
-  let crash_at = 2 + Prng.int rng (max 1 (2 * cfg.crash_every)) in
-  let short_at = if Prng.int rng 3 = 0 then Some (crash_at - 1) else None in
-  {
-    Fault.crash_at_append = crash_at;
-    torn = Prng.bool rng;
-    bit_flip = Prng.int rng 3 = 0;
-    crash_at_atomic = (if Prng.int rng 4 = 0 then Some (1 + Prng.int rng 2) else None);
-    short_at_append = short_at;
-    enospc_at_append =
-      (if Prng.int rng 5 = 0 then Some (1 + Prng.int rng (max 1 cfg.crash_every)) else None);
-  }
-
-let tenant_name i = Printf.sprintf "t%d" i
-
-(* Same shape as the single-node soak's script: registrations up front,
-   batched elements, churn (terminate + re-register) sprinkled in. *)
-let script cfg ~tenant_idx =
-  let tenant = tenant_name tenant_idx in
-  let rng = Prng.create ~seed:(mix cfg.seed tenant 0x5c71) in
-  let gen = Generator.create ~dim:cfg.dim ~seed:(mix cfg.seed tenant 0x9e3d) () in
-  let next_id = ref 0 in
-  let known = ref [] in
-  let frames = ref [] in
-  let emit f = frames := f :: !frames in
-  let register () =
-    let id = !next_id in
-    incr next_id;
-    known := id :: !known;
-    let threshold = 1 + Prng.int rng (max 1 cfg.threshold) in
-    emit (Frame.Op { tenant; op = Replay.Register (Generator.query gen ~id ~threshold) })
-  in
-  for _ = 1 to cfg.queries do
-    register ()
-  done;
-  let remaining = ref cfg.elements in
-  while !remaining > 0 do
-    let n = min cfg.batch !remaining in
-    remaining := !remaining - n;
-    if n = 1 then emit (Frame.Op { tenant; op = Replay.Element (Generator.element gen) })
-    else emit (Frame.Batch { tenant; elems = Array.init n (fun _ -> Generator.element gen) });
-    if Prng.float rng 1.0 < cfg.churn then begin
-      (match !known with
-      | [] -> ()
-      | ids ->
-          let id = List.nth ids (Prng.int rng (List.length ids)) in
-          emit (Frame.Op { tenant; op = Replay.Terminate id }));
-      register ()
-    end
-  done;
-  List.rev !frames
-
 (* ---- pruned-segment archive ----------------------------------------- *)
 
 let is_seg name =
@@ -149,14 +88,10 @@ let archive_wrap ~dim ~record (base : Io.dir) =
 
 type tenant_report = {
   name : string;
-  applied : int;
   archived_records : int;
   chain_records : int;  (* records still on the promoted node's disk *)
   chain_base : int;
-  matured : int;
-  log_ok : bool;
-  sub_ok : bool;
-  acct_ok : bool;
+  verdict : Oracle.verdict;
   chain_ok : bool;  (* archive ++ chain is gap-free from op 1 *)
   disk_ok : bool;
 }
@@ -183,12 +118,13 @@ let pp ppf r =
     (if r.volume_ok then "" else " VOLUME-SHORTFALL");
   List.iter
     (fun t ->
+      let v = t.verdict in
       Format.fprintf ppf
         "  %s: applied=%d matured=%d disk=%d+%d archived=%d%s%s%s%s%s@,"
-        t.name t.applied t.matured t.chain_base t.chain_records t.archived_records
-        (if t.log_ok then "" else " LOG-MISMATCH")
-        (if t.sub_ok then "" else " SUB-MISMATCH")
-        (if t.acct_ok then "" else " ACCT-MISMATCH")
+        t.name v.Oracle.applied v.matured t.chain_base t.chain_records t.archived_records
+        (if v.log_ok then "" else " LOG-MISMATCH")
+        (if v.sub_ok then "" else " SUB-MISMATCH")
+        (if v.acct_ok then "" else " ACCT-MISMATCH")
         (if t.chain_ok then "" else " CHAIN-GAP")
         (if t.disk_ok then "" else " DISK-UNBOUNDED"))
     r.per_tenant;
@@ -233,9 +169,10 @@ let run ?(progress = fun _ -> ()) ~make cfg =
     let base = base_of node tenant in
     if incarnation < cfg.faulty_incarnations then
       let rng =
-        Prng.create ~seed:(mix cfg.seed (Printf.sprintf "%s@%d" tenant node) incarnation)
+        Prng.create
+          ~seed:(Oracle.mix cfg.seed (Printf.sprintf "%s@%d" tenant node) incarnation)
       in
-      Fault.wrap ~rng (draw_plan cfg rng) base
+      Fault.wrap ~rng (Oracle.draw_plan ~crash_every:cfg.crash_every rng) base
     else base
   in
   let ccfg =
@@ -255,10 +192,13 @@ let run ?(progress = fun _ -> ()) ~make cfg =
   (* client 0 subscribes to everything; clients 1..tenants each drive
      one tenant's script *)
   for i = 0 to cfg.tenants - 1 do
-    Cluster.subscribe cluster 0 (tenant_name i)
+    Cluster.subscribe cluster 0 (Oracle.tenant_name i)
   done;
   for i = 0 to cfg.tenants - 1 do
-    let frames = script cfg ~tenant_idx:i in
+    let frames =
+      Oracle.script ~seed:cfg.seed ~dim:cfg.dim ~queries:cfg.queries ~elements:cfg.elements
+        ~batch:cfg.batch ~threshold:cfg.threshold ~churn:cfg.churn ~tenant_idx:i
+    in
     let client = Cluster.client cluster (i + 1) in
     List.iter (fun f -> Client.enqueue client f) frames
   done;
@@ -308,7 +248,7 @@ let run ?(progress = fun _ -> ()) ~make cfg =
   let segment_records = ccfg.Cluster.server.Server.segment_records in
   let per_tenant =
     List.init cfg.tenants (fun i ->
-        let name = tenant_name i in
+        let name = Oracle.tenant_name i in
         let scanned = Wal.scan ~dim:cfg.dim ~dir:(base_of promoted name) () in
         let archived = List.sort compare !(archive_of promoted name) in
         let chain_ok, archived_ops_rev, archived_end =
@@ -320,28 +260,19 @@ let run ?(progress = fun _ -> ()) ~make cfg =
             (true, [], 0) archived
         in
         let chain_ok = chain_ok && archived_end = scanned.Wal.base in
-        let full_ops = List.rev_append archived_ops_rev scanned.Wal.ops in
-        let oracle = Replay.replay_ops (make ~dim:cfg.dim) full_ops in
-        let log = Server.maturity_log srv name in
-        let sub = Client.matured subscriber name in
-        let accepted = Server.accepted_ops srv name in
-        let applied = Server.applied_ops srv name in
-        let rejected = Server.rejected_ops srv name in
         let disk_ok =
           segment_records = 0
           || scanned.Wal.records <= (2 * checkpoint_every) + (2 * segment_records) + 128
         in
         {
           name;
-          applied;
           archived_records = List.length archived_ops_rev;
           chain_records = scanned.Wal.records;
           chain_base = scanned.Wal.base;
-          matured = List.length log;
-          log_ok = log = oracle.Replay.maturities;
-          sub_ok = sub = oracle.Replay.maturities;
-          acct_ok =
-            accepted = applied + rejected && scanned.Wal.base + scanned.Wal.records = applied;
+          verdict =
+            Oracle.verdict ~make ~dim:cfg.dim srv ~subscriber ~tenant:name
+              ~ops:(List.rev_append archived_ops_rev scanned.Wal.ops)
+              ~wal_records:(scanned.Wal.base + scanned.Wal.records);
           chain_ok;
           disk_ok;
         })
@@ -365,7 +296,7 @@ let run ?(progress = fun _ -> ()) ~make cfg =
   in
   let volume_ok =
     segment_records = 0
-    || List.for_all (fun t -> t.applied >= 10 * checkpoint_every) per_tenant
+    || List.for_all (fun t -> t.verdict.Oracle.applied >= 10 * checkpoint_every) per_tenant
   in
   let pruned_somewhere = List.exists (fun t -> t.chain_base > 0) per_tenant in
   let crashes_total =
@@ -385,8 +316,7 @@ let run ?(progress = fun _ -> ()) ~make cfg =
      at-least-once admission), so it is asserted only by tests that pin
      seed and scenario. *)
   let ok =
-    List.for_all (fun t -> t.log_ok && t.sub_ok && t.acct_ok && t.chain_ok && t.disk_ok)
-      per_tenant
+    List.for_all (fun t -> Oracle.passed t.verdict && t.chain_ok && t.disk_ok) per_tenant
     && scenario_ok
     && (segment_records = 0 || pruned_somewhere)
   in

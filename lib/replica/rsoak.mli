@@ -6,19 +6,20 @@
     fault hits the initial primary mid-stream — on top of per-tenant
     storage-fault plans on {e every} node and a lossy, reordering
     network. Client 0 subscribes to every tenant; clients [1..tenants]
-    each drive one tenant's script and ride out the failover via
-    re-send + watermark re-subscribe.
+    each drive one tenant's {!Rts_serve.Oracle.script} and ride out the
+    failover via re-send + watermark re-subscribe.
 
     The oracle is built from the promoted node's own storage: cold WAL
     segments are archived at the moment pruning deletes them (an
     {!Rts_resilience.Io.dir} wrapper on the base dir), and
-    [archive ++ surviving chain] replayed through a fresh engine must
-    equal — bit-identically — both the promoted node's maturity log and
-    the subscriber's merged push stream: nothing lost, nothing early,
-    nothing duplicated across the failover. Pruning must also have
-    actually happened ([pruned_somewhere]) and the surviving chain must
-    stay under the disk bound, so the run demonstrates bounded disk at
-    10× the checkpoint interval, not pruning disabled. *)
+    {!Rts_serve.Oracle.verdict} replays [archive ++ surviving chain]
+    through a fresh engine, which must equal — bit-identically — both
+    the promoted node's maturity log and the subscriber's merged push
+    stream: nothing lost, nothing early, nothing duplicated across the
+    failover. Pruning must also have actually happened
+    ([pruned_somewhere]) and the surviving chain must stay under the
+    disk bound, so the run demonstrates bounded disk at 10× the
+    checkpoint interval, not pruning disabled. *)
 
 type scenario =
   | Clean
@@ -51,14 +52,12 @@ val default : config
 
 type tenant_report = {
   name : string;
-  applied : int;
   archived_records : int;  (** ops rescued from pruned segments *)
   chain_records : int;  (** records still on the promoted node's disk *)
   chain_base : int;  (** ops below the surviving chain ( > 0 ⇒ pruned) *)
-  matured : int;
-  log_ok : bool;  (** promoted node's maturity log == oracle *)
-  sub_ok : bool;  (** subscriber's merged push stream == oracle *)
-  acct_ok : bool;
+  verdict : Rts_serve.Oracle.verdict;
+      (** the promoted node's log and the subscriber's merged push
+          stream against [archive ++ chain] *)
   chain_ok : bool;  (** archive ++ chain is gap-free from op 1 *)
   disk_ok : bool;  (** surviving chain under the pruning bound *)
 }

@@ -21,7 +21,8 @@
     accepted,<tenant>,<n>             n ops admitted into the tenant queue
     overloaded,<tenant>,<reason>      admission refused (typed reason)
     retry,<ticks>                     backpressure: queue full, try later
-    rejected,<msg>                    malformed frame / benign engine error
+    rejected,<msg>                    malformed frame / benign engine error /
+                                      batch that can never be admitted
     matured,<tenant>,<ordinal>,<id>[;<id>...]   push to subscribers
     stats,<body>                      metric snapshot (escaped string)
     bye                               shutdown acknowledged
@@ -29,7 +30,10 @@
 
     Replies to a client's frames arrive in the order the frames were
     sent (per-link FIFO); [matured] frames are asynchronous pushes
-    interleaved among them and answer nothing. *)
+    interleaved among them and answer nothing. [retry] is the only
+    reply that is not final. A batch of more ops than the tenant's
+    ingest ring or WAL lag limit could never be admitted whole, so it
+    gets [rejected] (naming its size and the limit), not [retry]. *)
 
 open Rts_workload
 

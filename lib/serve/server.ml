@@ -677,6 +677,18 @@ let ingest t ~src name ops =
       Metrics.incr (overload_counter t reason);
       t.send ~dst:src reply
   | Error reply -> t.send ~dst:src reply
+  | Ok tenant
+    when List.length ops > min (Spsc_ring.capacity tenant.ring) t.config.wal_lag_limit ->
+      (* never admissible whole: a retry or an overload would invite
+         resubmission forever, so the refusal is final *)
+      let ring = Spsc_ring.capacity tenant.ring and lag = t.config.wal_lag_limit in
+      let what, limit = if ring <= lag then ("ingest ring", ring) else ("WAL lag limit", lag) in
+      t.send ~dst:src
+        (Frame.Rejected
+           {
+             message =
+               Printf.sprintf "batch of %d ops exceeds the %s (%d)" (List.length ops) what limit;
+           })
   | Ok tenant -> (
       match admission t tenant ops with
       | Some reason ->

@@ -20,7 +20,9 @@
       {!Rts_shard.Spsc_ring} and are applied by a paced drain task on
       the virtual clock; when the ring is full the client gets
       {!Frame.Retry_after} and resubmits later. A batch is admitted
-      all-or-nothing.
+      all-or-nothing; one larger than [min ring wal_lag_limit] never
+      can be, so it gets a final {!Frame.Rejected} naming both numbers
+      (not counted in {!rejected_ops}, which counts engine refusals).
     - {e Supervision} — a storage fault ({!Rts_resilience.Fault.Crash},
       {!Rts_resilience.Io.No_space}) or an injected wedge marks the
       tenant unhealthy; the watchdog restarts it: a fresh incarnation

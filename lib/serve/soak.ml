@@ -1,7 +1,4 @@
 module Prng = Rts_util.Prng
-module Types = Rts_core.Types
-module Replay = Rts_workload.Replay
-module Generator = Rts_workload.Generator
 module Io = Rts_resilience.Io
 module Fault = Rts_resilience.Fault
 module Wal = Rts_resilience.Wal
@@ -51,45 +48,7 @@ let default =
       };
   }
 
-(* Deterministic seed mixing (independent of Hashtbl.hash, which is not
-   pinned across compiler versions — these seeds appear in CI). *)
-let mix seed name incarnation =
-  let h = ref (seed * 1_000_003) in
-  String.iter (fun c -> h := (!h * 31) + Char.code c) name;
-  h := (!h * 31) + incarnation;
-  !h land 0x3FFFFFFF
-
-let draw_plan cfg rng =
-  let crash_at = 2 + Prng.int rng (max 1 (2 * cfg.crash_every)) in
-  let short_at =
-    (* always one append before the crash: the partial record is the
-       final one on the surviving log, so the scanner amputates it and
-       recovery resubmits the op — a short write that nothing ever
-       crashes on would be silent data loss (see Fault.plan docs) *)
-    if Prng.int rng 3 = 0 then Some (crash_at - 1) else None
-  in
-  {
-    Fault.crash_at_append = crash_at;
-    torn = Prng.bool rng;
-    bit_flip = Prng.int rng 3 = 0;
-    crash_at_atomic = (if Prng.int rng 4 = 0 then Some (1 + Prng.int rng 2) else None);
-    short_at_append = short_at;
-    enospc_at_append =
-      (if Prng.int rng 5 = 0 then Some (1 + Prng.int rng (max 1 cfg.crash_every)) else None);
-  }
-
-type tenant_report = {
-  name : string;
-  accepted : int;
-  applied : int;
-  rejected : int;
-  wal_records : int;
-  restarts : int;
-  matured : int;
-  log_ok : bool;
-  sub_ok : bool;
-  acct_ok : bool;
-}
+type tenant_report = { name : string; wal_records : int; restarts : int; verdict : Oracle.verdict }
 
 type report = {
   per_tenant : tenant_report list;
@@ -100,49 +59,6 @@ type report = {
   net_retransmits : int;
   ok : bool;
 }
-
-let tenant_name i = Printf.sprintf "t%d" i
-
-(* Build each tenant's frame script: registrations, batched elements,
-   churn. Returned in send order. *)
-let script cfg ~tenant_idx =
-  let tenant = tenant_name tenant_idx in
-  let rng = Prng.create ~seed:(mix cfg.seed tenant 0x5c71) in
-  let gen = Generator.create ~dim:cfg.dim ~seed:(mix cfg.seed tenant 0x9e3d) () in
-  let next_id = ref 0 in
-  let known = ref [] in
-  let frames = ref [] in
-  let emit f = frames := f :: !frames in
-  let register () =
-    let id = !next_id in
-    incr next_id;
-    known := id :: !known;
-    let threshold = 1 + Prng.int rng (max 1 cfg.threshold) in
-    emit (Frame.Op { tenant; op = Replay.Register (Generator.query gen ~id ~threshold) })
-  in
-  for _ = 1 to cfg.queries do
-    register ()
-  done;
-  let remaining = ref cfg.elements in
-  while !remaining > 0 do
-    let n = min cfg.batch !remaining in
-    remaining := !remaining - n;
-    if n = 1 then emit (Frame.Op { tenant; op = Replay.Element (Generator.element gen) })
-    else
-      emit
-        (Frame.Batch { tenant; elems = Array.init n (fun _ -> Generator.element gen) });
-    if Prng.float rng 1.0 < cfg.churn then begin
-      (match !known with
-      | [] -> ()
-      | ids ->
-          (* possibly already matured or terminated — exercising the
-             benign-rejection path is the point *)
-          let id = List.nth ids (Prng.int rng (List.length ids)) in
-          emit (Frame.Op { tenant; op = Replay.Terminate id }));
-      register ()
-    end
-  done;
-  List.rev !frames
 
 let run ?(progress = fun _ -> ()) ~make cfg =
   if cfg.tenants < 1 || cfg.queries < 1 || cfg.elements < 0 || cfg.batch < 1 then
@@ -159,29 +75,32 @@ let run ?(progress = fun _ -> ()) ~make cfg =
   let provider ~tenant ~incarnation =
     let base = base_of tenant in
     if incarnation < cfg.faulty_incarnations then
-      let rng = Prng.create ~seed:(mix cfg.seed tenant incarnation) in
-      Fault.wrap ~rng (draw_plan cfg rng) base
+      let rng = Prng.create ~seed:(Oracle.mix cfg.seed tenant incarnation) in
+      Fault.wrap ~rng (Oracle.draw_plan ~crash_every:cfg.crash_every rng) base
     else base
   in
   let server_config = { cfg.server with Server.dim = cfg.dim; max_tenants = cfg.tenants } in
   (* one client per tenant, plus a dedicated subscriber watching all *)
   let hub =
     Hub.create ~server_config ~net:cfg.net ~reliable:cfg.reliable
-      ~net_seed:(mix cfg.seed "net" 0) ~clients:(cfg.tenants + 1) ~make ~provider ()
+      ~net_seed:(Oracle.mix cfg.seed "net" 0) ~clients:(cfg.tenants + 1) ~make ~provider ()
   in
   let server = Hub.server hub in
   let subscriber = Hub.client hub cfg.tenants in
   for i = 0 to cfg.tenants - 1 do
-    Client.enqueue subscriber (Frame.Subscribe { tenant = tenant_name i; after = 0 })
+    Client.enqueue subscriber (Frame.Subscribe { tenant = Oracle.tenant_name i; after = 0 })
   done;
   for i = 0 to cfg.tenants - 1 do
-    let frames = script cfg ~tenant_idx:i in
+    let frames =
+      Oracle.script ~seed:cfg.seed ~dim:cfg.dim ~queries:cfg.queries ~elements:cfg.elements
+        ~batch:cfg.batch ~threshold:cfg.threshold ~churn:cfg.churn ~tenant_idx:i
+    in
     let client = Hub.client hub i in
     List.iter (fun f -> Client.enqueue client f) frames
   done;
   (* wedge injections at staggered virtual times, cycling tenants *)
   for w = 0 to cfg.wedges - 1 do
-    let name = tenant_name (w mod cfg.tenants) in
+    let name = Oracle.tenant_name (w mod cfg.tenants) in
     ignore
       (Vclock.schedule (Hub.clock hub)
          ~delay:(40 + (w * 97))
@@ -199,44 +118,16 @@ let run ?(progress = fun _ -> ()) ~make cfg =
   progress "soak: verifying against the WAL oracle";
   let per_tenant =
     List.init cfg.tenants (fun i ->
-        let name = tenant_name i in
+        let name = Oracle.tenant_name i in
         let scanned = Wal.scan ~dim:cfg.dim ~dir:(base_of name) () in
-        let oracle = Replay.replay_ops (make ~dim:cfg.dim) scanned.Wal.ops in
-        let log = Server.maturity_log server name in
-        let sub = Client.matured subscriber name in
-        (match Sys.getenv_opt "RTS_SERVE_TRACE" with
-        | Some t
-          when (t = name || t = "all")
-               && (log <> oracle.Replay.maturities || sub <> oracle.Replay.maturities) ->
-            let dump tag l =
-              Printf.eprintf "[%s] %s (%d):%s\n%!" name tag (List.length l)
-                (String.concat ""
-                   (List.map (fun (o, id) -> Printf.sprintf " %d:%d" o id) l))
-            in
-            dump "oracle" oracle.Replay.maturities;
-            dump "server" log;
-            dump "subscr" sub;
-            List.iteri
-              (fun i op ->
-                Printf.eprintf "[%s] wal ord=%d %s\n%!" name (i + 1) (Replay.op_to_line op))
-              scanned.Wal.ops
-        | _ -> ());
-        let accepted = Server.accepted_ops server name in
-        let applied = Server.applied_ops server name in
-        let rejected = Server.rejected_ops server name in
+        let wal_records = scanned.Wal.base + scanned.Wal.records in
         {
           name;
-          accepted;
-          applied;
-          rejected;
-          wal_records = scanned.Wal.base + scanned.Wal.records;
+          wal_records;
           restarts = Server.restarts server name;
-          matured = List.length log;
-          log_ok = log = oracle.Replay.maturities;
-          sub_ok = sub = oracle.Replay.maturities;
-          acct_ok =
-            accepted = applied + rejected
-            && scanned.Wal.base + scanned.Wal.records = applied;
+          verdict =
+            Oracle.verdict ~make ~dim:cfg.dim server ~subscriber ~tenant:name
+              ~ops:scanned.Wal.ops ~wal_records;
         })
   in
   let crashes = Server.crashes server in
@@ -260,7 +151,7 @@ let run ?(progress = fun _ -> ()) ~make cfg =
     Metrics.counter_value (Hub.net_metrics hub) "net_retransmits_total"
   in
   let ok =
-    List.for_all (fun r -> r.log_ok && r.sub_ok && r.acct_ok) per_tenant
+    List.for_all (fun r -> Oracle.passed r.verdict) per_tenant
     && (cfg.faulty_incarnations = 0 || crashes > 0)
   in
   { per_tenant; crashes; restarts_total; client_retries; overloads; net_retransmits; ok }
@@ -269,13 +160,12 @@ let pp_report ppf r =
   Format.fprintf ppf "@[<v>";
   List.iter
     (fun t ->
+      let v = t.verdict and ok b = if b then "ok" else "MISMATCH" in
       Format.fprintf ppf
         "tenant %-6s accepted=%-6d applied=%-6d rejected=%-4d wal=%-6d restarts=%-3d \
          matured=%-5d log=%s sub=%s acct=%s@,"
-        t.name t.accepted t.applied t.rejected t.wal_records t.restarts t.matured
-        (if t.log_ok then "ok" else "MISMATCH")
-        (if t.sub_ok then "ok" else "MISMATCH")
-        (if t.acct_ok then "ok" else "MISMATCH"))
+        t.name v.Oracle.accepted v.applied v.rejected t.wal_records t.restarts v.matured
+        (ok v.log_ok) (ok v.sub_ok) (ok v.acct_ok))
     r.per_tenant;
   Format.fprintf ppf
     "crashes=%d restarts=%d client_retries=%d overloads=%d net_retransmits=%d => %s@]"

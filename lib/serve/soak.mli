@@ -18,17 +18,12 @@
     - runs the whole deployment over a faulty network
       ({!Rts_net.Net_fault.spec} + {!Rts_net.Reliable} timers).
 
-    Afterwards the {e oracle} is computed per tenant: scan the
-    surviving WAL ({!Rts_resilience.Wal.scan} of the tenant's base dir)
-    and replay it on a fresh, plain, fault-free engine of the same
-    kind. The run passes iff, for every tenant:
-
-    - the server's own maturity log is bit-identical to the oracle's;
-    - the subscriber's received maturity stream is bit-identical too
-      (accepted => durable => matured exactly once, never early,
-      across every crash, wedge, restart and retransmission);
-    - accepted ops = applied + benignly rejected, and the WAL holds
-      exactly [applied] records. *)
+    Afterwards each tenant is judged by {!Oracle.verdict} against a
+    replay of its surviving WAL on a fresh, fault-free engine: the
+    server's log and the subscriber's stream must both equal it
+    (exactly once, never early, across every crash, wedge, restart and
+    retransmission), and accepted = applied + benignly rejected = WAL
+    records. *)
 
 open Rts_core
 
@@ -54,18 +49,7 @@ val default : config
     crash + short-write + ENOSPC + net-fault pressure, tight queue so
     backpressure fires. *)
 
-type tenant_report = {
-  name : string;
-  accepted : int;
-  applied : int;
-  rejected : int;  (** Benign engine rejections (churn races). *)
-  wal_records : int;
-  restarts : int;
-  matured : int;
-  log_ok : bool;  (** Server maturity log == oracle. *)
-  sub_ok : bool;  (** Subscriber's received stream == oracle. *)
-  acct_ok : bool;  (** accepted = applied + rejected; WAL = applied. *)
-}
+type tenant_report = { name : string; wal_records : int; restarts : int; verdict : Oracle.verdict }
 
 type report = {
   per_tenant : tenant_report list;
@@ -75,7 +59,7 @@ type report = {
   overloads : int;  (** Typed {!Frame.Overloaded} refusals observed. *)
   net_retransmits : int;
   ok : bool;
-      (** Every tenant's [log_ok && sub_ok && acct_ok], and — when
+      (** Every tenant's verdict {!Oracle.passed}, and — when
           [faulty_incarnations > 0] — at least one crash was actually
           exercised. *)
 }

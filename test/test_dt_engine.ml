@@ -320,6 +320,81 @@ let prop_restore_continuation =
       done;
       !ok)
 
+(* Interleaved register/terminate while elements flow: every engine
+   query over integer positions [a, b) is shadowed by a classic DT
+   instance and a networked one over a lossy transport, one site per
+   position. All three must mature on the same element. *)
+let test_churn_vs_classic_and_networked () =
+  let module Dt = Rts_dt.Distributed_tracking in
+  let module Nt = Rts_dt.Net_tracking in
+  let module Net_fault = Rts_net.Net_fault in
+  let faults =
+    { Net_fault.none with Net_fault.drop = 0.25; duplicate = 0.15; reorder = 0.3; delay_max = 4 }
+  in
+  let positions = 6 in
+  List.iter
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      let t = Dt_engine.create ~dim:1 () in
+      (* (id, first position, classic, networked) per live query *)
+      let shadows = ref [] in
+      let next_id = ref 0 and fired = ref 0 in
+      let register () =
+        let a = Prng.int rng positions in
+        let b = a + 1 + Prng.int rng (min 4 (positions - a)) in
+        let tau = 20 + Prng.int rng 400 in
+        let id = !next_id in
+        incr next_id;
+        Dt_engine.register t (q ~id ~threshold:tau (float_of_int a, float_of_int b));
+        let net =
+          Nt.create ~config:{ Nt.default with Nt.faults; seed = seed + id } ~h:(b - a) ~tau ()
+        in
+        shadows := (id, a, b, Dt.create ~h:(b - a) ~tau, net) :: !shadows
+      in
+      for _ = 1 to 4 do register () done;
+      for step = 1 to 600 do
+        if Prng.bernoulli rng 0.10 then register ();
+        (if Prng.bernoulli rng 0.05 then
+           match !shadows with
+           | (id, _, _, _, _) :: rest ->
+               Dt_engine.terminate t id;
+               shadows := rest
+           | [] -> ());
+        let c = Prng.int rng positions in
+        let by = 1 + Prng.int rng 8 in
+        let matured = Dt_engine.process t (elem1 (float_of_int c +. 0.5) by) in
+        shadows :=
+          List.filter
+            (fun (id, a, b, classic, net) ->
+              if c < a || c >= b then true
+              else begin
+                let m_classic = Dt.increment classic ~site:(c - a) ~by in
+                let m_net = Nt.increment net ~site:(c - a) ~by in
+                let m_engine = List.mem id matured in
+                Alcotest.(check bool)
+                  (Printf.sprintf "step %d seed %d: engine/classic/net agree (%b/%b/%b)" step
+                     seed m_engine m_classic m_net)
+                  true
+                  (m_engine = m_classic && m_classic = m_net);
+                Alcotest.(check bool)
+                  (Printf.sprintf "step %d: net never early" step)
+                  true
+                  (Nt.estimate net <= Nt.total net);
+                if m_engine then incr fired;
+                not m_engine
+              end)
+            !shadows
+      done;
+      Alcotest.(check bool) (Printf.sprintf "seed %d: queries matured" seed) true (!fired > 0);
+      List.iter
+        (fun (id, _, _, classic, net) ->
+          Alcotest.(check int) "classic total = engine progress" (Dt_engine.progress t id)
+            (Dt.total classic);
+          Alcotest.(check int) "net total = engine progress" (Dt_engine.progress t id)
+            (Nt.total net))
+        !shadows)
+    [ 3; 11; 42 ]
+
 let () =
   Alcotest.run "dt_engine"
     [
@@ -342,6 +417,8 @@ let () =
           Alcotest.test_case "engine snapshot/restore" `Quick test_snapshot_restore_engine_level;
           Alcotest.test_case "restore validation" `Quick test_restore_validation;
           Alcotest.test_case "restore edge cases" `Quick test_restore_edge_cases;
+          Alcotest.test_case "churn vs classic and networked DT" `Quick
+            test_churn_vs_classic_and_networked;
         ] );
       ( "property",
         [

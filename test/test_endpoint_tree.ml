@@ -309,6 +309,126 @@ let prop_weight_exact =
         (fun ((qq : Types.query), _) -> Endpoint_tree.current_weight t qq.id = naive.(qq.id))
         batch)
 
+(* Many queries share one tree's node counters: the slack heaps must
+   keep increments cheap while every query still matures exactly. *)
+
+let test_quiet_increments_cheap () =
+  (* large thresholds, unit weights: most elements deliver no signal *)
+  let matured = ref 0 in
+  let t =
+    build1 ~on_mature:(fun _ -> incr matured)
+      (List.init 50 (fun id -> (q ~id ~threshold:1_000_000 [| (0., 10.) |], 1_000_000)))
+  in
+  for _ = 1 to 10_000 do
+    Endpoint_tree.process t (elem1 5. 1)
+  done;
+  Alcotest.(check int) "nothing matured" 0 !matured;
+  Alcotest.(check int) "weight exact" 10_000 (Endpoint_tree.current_weight t 0);
+  let st = Endpoint_tree.stats t in
+  Alcotest.(check bool)
+    (Printf.sprintf "signals %d << 50 x 10000 naive" st.signals)
+    true (st.signals < 2_000)
+
+let test_remove_mid_round () =
+  (* a spans four element positions with a huge threshold, b two, c one;
+     a is removed after many DT rounds and c still matures exactly *)
+  let matured = ref [] in
+  let t =
+    build1 ~on_mature:(fun id -> matured := id :: !matured)
+      [
+        (q ~id:1 ~threshold:100_000 [| (0., 40.) |], 100_000);
+        (q ~id:2 ~threshold:500 [| (0., 20.) |], 500);
+        (q ~id:3 ~threshold:5_060 [| (0., 10.) |], 5_060);
+      ]
+  in
+  for i = 0 to 199 do
+    Endpoint_tree.process t (elem1 (5. +. (10. *. float_of_int (i mod 4))) 100)
+  done;
+  Alcotest.(check (list int)) "b matured" [ 2 ] !matured;
+  Alcotest.(check int) "a weight" 20_000 (Endpoint_tree.current_weight t 1);
+  Alcotest.(check int) "c remaining" 60 (Endpoint_tree.remaining t 3);
+  Endpoint_tree.remove t 1;
+  Endpoint_tree.process t (elem1 5. 59);
+  Alcotest.(check (list int)) "c not early" [ 2 ] !matured;
+  Endpoint_tree.process t (elem1 35. 1_000_000);
+  Alcotest.(check (list int)) "removed a never fires" [ 2 ] !matured;
+  Endpoint_tree.process t (elem1 5. 1);
+  Alcotest.(check (list int)) "c fires at its threshold" [ 3; 2 ] !matured
+
+let test_huge_weight_overshoot () =
+  List.iter
+    (fun (dim, bounds, value) ->
+      let matured = ref [] in
+      let t =
+        Endpoint_tree.build ~dim
+          ~on_mature:(fun id -> matured := id :: !matured)
+          [ (q ~id:1 ~threshold:1_000_000 bounds, 1_000_000) ]
+      in
+      Endpoint_tree.process t { Types.value; weight = 50_000_000 };
+      Alcotest.(check (list int)) (Printf.sprintf "%dD: matures at once" dim) [ 1 ] !matured;
+      Endpoint_tree.process t { Types.value; weight = 50_000_000 };
+      Alcotest.(check (list int)) (Printf.sprintf "%dD: exactly once" dim) [ 1 ] !matured)
+    [ (1, [| (0., 10.) |], [| 5. |]); (2, [| (0., 10.); (0., 10.) |], [| 5.; 5. |]) ]
+
+let test_signal_budget_narrow () =
+  (* 100 single-position queries over 8 positions, driven to maturity:
+     with one canonical node each, signals stay within O(m log tau) *)
+  let rng = Prng.create ~seed:7 in
+  let tau = 20_000 in
+  let batch =
+    List.init 100 (fun id ->
+        let p = float_of_int (Prng.int rng 8) in
+        (q ~id ~threshold:tau [| (p, p +. 1.) |], tau))
+  in
+  let t = build1 batch in
+  while Endpoint_tree.alive_count t > 0 do
+    Endpoint_tree.process t (elem1 (float_of_int (Prng.int rng 8) +. 0.5) (1 + Prng.int rng 20))
+  done;
+  let log2 x = log (float_of_int x) /. log 2. in
+  let budget = int_of_float (100. *. 8. *. (log2 tau +. 2.)) in
+  let st = Endpoint_tree.stats t in
+  Alcotest.(check bool)
+    (Printf.sprintf "signals %d <= budget %d" st.signals budget)
+    true (st.signals <= budget)
+
+let test_maturity_step_vs_model () =
+  (* 200 queries over 16 element positions: every element matures
+     exactly the queries whose scalar model crosses its threshold *)
+  let rng = Prng.create ~seed:5 in
+  let matured = ref [] in
+  let batch =
+    List.init 200 (fun id ->
+        let a = Prng.int rng 16 in
+        let b = a + 1 + Prng.int rng (16 - a) in
+        let threshold = 1 + Prng.int rng 500 in
+        (q ~id ~threshold [| (float_of_int a, float_of_int b) |], threshold))
+  in
+  let t = build1 ~on_mature:(fun id -> matured := id :: !matured) batch in
+  let acc = Array.make 200 0 in
+  for step = 1 to 3_000 do
+    let x = float_of_int (Prng.int rng 16) and w = 1 + Prng.int rng 10 in
+    matured := [];
+    Endpoint_tree.process t (elem1 x w);
+    let expected =
+      List.filter_map
+        (fun ((qq : Types.query), threshold) ->
+          if acc.(qq.id) < threshold && Types.rect_contains qq.rect [| x |] then begin
+            acc.(qq.id) <- acc.(qq.id) + w;
+            if acc.(qq.id) >= threshold then Some qq.id else None
+          end
+          else None)
+        batch
+    in
+    Alcotest.(check (list int))
+      (Printf.sprintf "step %d matures" step)
+      expected (List.sort compare !matured)
+  done;
+  List.iter
+    (fun ((qq : Types.query), threshold) ->
+      if acc.(qq.id) < threshold then
+        Alcotest.(check int) "surviving weight" acc.(qq.id) (Endpoint_tree.current_weight t qq.id))
+    batch
+
 let () =
   Alcotest.run "endpoint_tree"
     [
@@ -329,6 +449,14 @@ let () =
           Alcotest.test_case "one-sided query" `Quick test_one_sided_query;
           Alcotest.test_case "build validation" `Quick test_build_validation;
           Alcotest.test_case "space counts" `Quick test_space_counts;
+        ] );
+      ( "shared counters",
+        [
+          Alcotest.test_case "quiet increments are cheap" `Quick test_quiet_increments_cheap;
+          Alcotest.test_case "remove mid-round" `Quick test_remove_mid_round;
+          Alcotest.test_case "huge weight overshoot" `Quick test_huge_weight_overshoot;
+          Alcotest.test_case "signal budget, narrow queries" `Quick test_signal_budget_narrow;
+          Alcotest.test_case "maturity step vs scalar model" `Quick test_maturity_step_vs_model;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest prop_weight_exact ]);
     ]

@@ -1,7 +1,8 @@
 (* rts-serve daemon core: frame codec round-trips, typed admission
-   refusals, backpressure, supervised wedge recovery, and the soak
-   harness's never-early / exactly-once guarantee on both a qcheck
-   seed sweep and the pinned CI seeds (RTS_SERVE_SEEDS). *)
+   refusals, backpressure, a final reply for every batch size,
+   supervised wedge recovery, and the soak harness's never-early /
+   exactly-once guarantee on both a qcheck seed sweep and the pinned CI
+   seeds (RTS_SERVE_SEEDS). *)
 
 open Rts_core
 open Rts_workload
@@ -224,6 +225,88 @@ let test_backpressure_retry () =
     (Frame.Retry_after { ticks = 7 })
     (last replies)
 
+(* ------------------------------------------------------------------ *)
+(* Liveness: every batch size gets a final answer                      *)
+(* ------------------------------------------------------------------ *)
+
+(* (queue_capacity, wal_lag_limit): in the first pair the ring is the
+   binding limit, in the second the WAL lag limit; batch sizes run to
+   4x the larger one *)
+let liveness_limits = [| (8, 16); (16, 8) |]
+
+let liveness_case =
+  QCheck.(pair (int_range 0 (Array.length liveness_limits - 1)) (int_range 1 64))
+
+let liveness_setup (c, n) =
+  let ring, lag = liveness_limits.(c) in
+  let config =
+    { Server.default with Server.dim = 1; queue_capacity = ring; wal_lag_limit = lag }
+  in
+  let gen = Generator.create ~dim:1 ~seed:n () in
+  let elems = Array.init n (fun _ -> Generator.element gen) in
+  (config, min ring lag, Frame.Batch { tenant = "t"; elems })
+
+let prop_batch_final_reply =
+  QCheck.Test.make
+    ~count:(Qcheck_env.count 100)
+    ~name:"batch of any size: one final reply, accepted iff it fits"
+    liveness_case
+    (fun ((_, n) as case) ->
+      let config, limit, frame = liveness_setup case in
+      let server, clock, replies, _ = direct_server config in
+      Server.handle server ~src:0 frame;
+      Vclock.run_until_idle clock;
+      match !replies with
+      | [ Frame.Accepted { ops; _ } ] -> n <= limit && ops = n
+      | [ Frame.Rejected _ ] -> n > limit && Server.rejected_ops server "t" = 0
+      | rs ->
+          QCheck.Test.fail_reportf "batch of %d (limit %d): replies [%s]" n limit
+            (String.concat "; " (List.rev_map Frame.server_to_string rs)))
+
+(* the same frames through Hub + Client, which resubmits on every
+   [retry]: the client must still go idle *)
+let prop_batch_hub_idle =
+  QCheck.Test.make
+    ~count:(Qcheck_env.count 100)
+    ~name:"batch of any size: hub client goes idle"
+    liveness_case
+    (fun case ->
+      let server_config, _, frame = liveness_setup case in
+      let provider ~tenant:_ ~incarnation:_ = Io.mem_dir () in
+      let hub = Hub.create ~server_config ~clients:1 ~make ~provider () in
+      Client.enqueue (Hub.client hub 0) frame;
+      Hub.run ~max_steps:100_000 hub;
+      Client.idle (Hub.client hub 0))
+
+(* the final refusal names the binding limit, and the tenant keeps
+   serving batches that fit *)
+let test_oversize_names_limit () =
+  List.iter
+    (fun (ring, lag, expected) ->
+      let config =
+        { Server.default with Server.dim = 1; queue_capacity = ring; wal_lag_limit = lag }
+      in
+      let server, clock, replies, _ = direct_server config in
+      let gen = Generator.create ~dim:1 ~seed:ring () in
+      let batch n = Frame.Batch { tenant = "t"; elems = Array.init n (fun _ -> Generator.element gen) } in
+      Server.handle server ~src:0 (batch 9);
+      Alcotest.check server_frame "oversize refused for good"
+        (Frame.Rejected { message = expected })
+        (last replies);
+      Server.handle server ~src:0 (batch 8);
+      Alcotest.check server_frame "a batch at the limit still fits"
+        (Frame.Accepted { tenant = "t"; ops = 8 })
+        (last replies);
+      Vclock.run_until_idle clock;
+      Alcotest.(check (triple int int int)) "accepted, applied, rejected ops" (8, 8, 0)
+        ( Server.accepted_ops server "t",
+          Server.applied_ops server "t",
+          Server.rejected_ops server "t" ))
+    [
+      (8, 16, "batch of 9 ops exceeds the ingest ring (8)");
+      (16, 8, "batch of 9 ops exceeds the WAL lag limit (8)");
+    ]
+
 let test_shutdown_rejects () =
   let server, _, replies, _ = direct_server { Server.default with Server.dim = 1 } in
   let _, element = gen_ops ~dim:1 ~seed:10 in
@@ -436,6 +519,12 @@ let () =
           Alcotest.test_case "subscribe watermark backfill" `Quick
             test_subscribe_watermark_backfill;
           Alcotest.test_case "stats tenant gauges" `Quick test_stats_tenant_gauges;
+        ] );
+      ( "liveness",
+        [
+          QCheck_alcotest.to_alcotest prop_batch_final_reply;
+          QCheck_alcotest.to_alcotest prop_batch_hub_idle;
+          Alcotest.test_case "oversize batch names its limit" `Quick test_oversize_names_limit;
         ] );
       ("supervision", [ Alcotest.test_case "wedge restart" `Quick test_wedge_restart ]);
       ( "soak",
