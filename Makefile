@@ -24,8 +24,8 @@ RTS_REPLICA_SEEDS ?= 2,11,23
 # paper-style scenarios); override with RTS_APPROX_SEEDS=a,b,c.
 RTS_APPROX_SEEDS ?= 7,21,63
 
-.PHONY: all build lint test bench-smoke bench-perf bench-alloc bench-shard \
-        bench-par bench-approx diff-bench check check-fault check-durable-cost check-net \
+.PHONY: all build lint test bench-smoke bench-perf bench-shard \
+        bench-par bench-approx bench-gate check check-fault check-durable-cost check-net \
         check-shard check-serve check-replica check-approx clean
 
 all: build
@@ -51,63 +51,59 @@ bench-smoke: build
 	$(DUNE) exec bench/main.exe -- fig6 --scale $(SMOKE_SCALE) --json > /dev/null
 	$(DUNE) exec tools/validate_bench.exe BENCH_fig4.json BENCH_fig6.json
 
-# Perf smoke: run the batched-ingestion benchmark at the smoke scale
-# (deterministic work counters for a pinned seed), then hold the
-# BENCH_perf.json output to the checked-in budgets. Wall clock is
-# reported but NOT gated -- only work-counter regressions fail the job.
+# The bench budget gate. Each bench-* target below regenerates one
+# BENCH_<figure>.json at the smoke scale and runs validate_bench against
+# the figure's entry in tools/budgets.json: the deterministic work
+# counters must fit their ceilings (same scale and seed), and a markdown
+# table of budget / actual / headroom / drift / status per document goes
+# to stdout. OVER fails the target; LOOSE (actual < 50% of budget) is a
+# hint to tighten. Wall clock is reported but never gated.
+BUDGETS := tools/budgets.json
+
+# Batched ingestion. validate_bench also holds every DT run to the
+# zero-allocation contract (allocated_words_per_element = 0 at every
+# batch size, no tolerance: Rts_obs.Alloc calibrates out its own bracket
+# overhead), so one boxed float or stray closure on the feed path fails
+# this target.
 bench-perf: build
 	$(DUNE) exec bench/main.exe -- perf --scale $(SMOKE_SCALE) --reps 3 --json > /dev/null
-	$(DUNE) exec tools/validate_bench.exe -- --perf-budgets tools/perf_budgets.json BENCH_perf.json
+	$(DUNE) exec tools/validate_bench.exe -- --budgets $(BUDGETS) BENCH_perf.json
 
-# Allocation gate: the same perf run, held to BOTH budget sets -- the
-# work counters AND the zero-allocation contract of the DT hot path
-# (allocated_words_per_element = 0 at every batch size, no tolerance:
-# Rts_obs.Alloc calibrates out its own bracket overhead, so a genuinely
-# allocation-free feed reports exactly 0 on every compiler leg). A
-# single boxed float argument or stray closure on the feed path fails
-# this target.
-bench-alloc: build
-	$(DUNE) exec bench/main.exe -- perf --scale $(SMOKE_SCALE) --reps 3 --json > /dev/null
-	$(DUNE) exec tools/validate_bench.exe -- \
-	  --perf-budgets tools/perf_budgets.json \
-	  --alloc-budgets tools/alloc_budgets.json BENCH_perf.json
-
-# Shard smoke: run the sharded-ingestion benchmark (k = 1/2/4/8 curve,
-# maturity log asserted bit-identical to the unsharded reference inside
-# the bench itself), then hold BENCH_shard.json to the checked-in
-# per-(engine, k) work-counter budgets. Counters are executor-invariant:
-# seq and domains executors do identical work, so the same budgets gate
-# both CI legs. Wall clock (and hence speedup) is informational only --
-# a single-core runner cannot show parallel speedups at all.
+# Sharded ingestion (k = 1/2/4/8, maturity log asserted bit-identical to
+# the unsharded reference inside the bench itself). Counters are
+# executor-invariant, so one manifest entry gates the seq and domains
+# legs alike.
 bench-shard: build
 	$(DUNE) exec bench/main.exe -- shard --scale $(SMOKE_SCALE) --reps 3 --json > /dev/null
-	$(DUNE) exec tools/validate_bench.exe -- --shard-budgets tools/shard_budgets.json BENCH_shard.json
+	$(DUNE) exec tools/validate_bench.exe -- --budgets $(BUDGETS) BENCH_shard.json
 
-# Parallel-ingestion smoke: the element-partitioned sweep (k = 1/2/4/8,
-# Domains executor, maturity log asserted bit-identical to the unsharded
-# reference inside the bench itself). The bench REFUSES to emit JSON on
-# a host with fewer than 2 usable cores (an honest single-core "speedup"
-# curve is noise), so this target validates BENCH_par.json when it
-# appears and reports the refusal otherwise. RTS_PAR_CORES=N overrides
-# core detection (CI uses it to exercise the guard deterministically).
+# Element-partitioned parallel ingestion (k = 1/2/4/8, Domains executor).
+# The bench REFUSES to emit JSON on a host with fewer than 2 usable cores
+# (an honest single-core "speedup" curve is noise), so this target
+# validates BENCH_par.json when it appears and reports the refusal
+# otherwise. RTS_PAR_CORES=N overrides core detection.
 bench-par: build
 	rm -f BENCH_par.json
 	$(DUNE) exec bench/main.exe -- par --scale $(SMOKE_SCALE) --reps 3 --json > /dev/null
 	@if [ -f BENCH_par.json ]; then \
-	  $(DUNE) exec tools/validate_bench.exe -- --shard-budgets tools/par_budgets.json BENCH_par.json; \
+	  $(DUNE) exec tools/validate_bench.exe -- --budgets $(BUDGETS) BENCH_par.json; \
 	else \
 	  echo "bench-par: skipped (fewer than 2 cores available -- no JSON emitted)"; \
 	fi
 
-# Approximate-tier bench smoke: sketch footprint, certified error vs a
-# brute-force exact scan, never-early + top-n parity verdicts (the bench
-# aborts before emitting JSON if either fails), held to the checked-in
-# per-engine budgets. Everything gated is deterministic per (scale,
-# seed) — the sketches use no hash families — so the budgets carry no
-# tolerance band, and approx_bound_violations must be exactly 0.
+# Approximate tier: sketch footprint, certified error vs a brute-force
+# exact scan, never-early + top-n parity verdicts (the bench aborts
+# before emitting JSON if either fails). Everything gated is
+# deterministic per (scale, seed) -- the sketches use no hash families --
+# so the ceilings carry no tolerance band, and validate_bench requires
+# approx_bound_violations = 0 of every approximate run.
 bench-approx: build
 	$(DUNE) exec bench/main.exe -- approx --scale $(SMOKE_SCALE) --reps 3 --json > /dev/null
-	$(DUNE) exec tools/validate_bench.exe -- --approx-budgets tools/approx_budgets.json BENCH_approx.json
+	$(DUNE) exec tools/validate_bench.exe -- --budgets $(BUDGETS) BENCH_approx.json
+
+# Every budgeted figure at once; CI runs this and appends the tables to
+# the job summary.
+bench-gate: bench-perf bench-shard bench-par bench-approx
 
 # Approximate-tier suite on its own: qcheck certified-bound containment
 # and never-early properties against brute-force references, top-n
@@ -119,22 +115,6 @@ check-approx: build
 	RTS_APPROX_SEEDS=$(RTS_APPROX_SEEDS) $(DUNE) exec test/test_approx.exe
 	$(MAKE) bench-approx
 	@echo "check-approx: OK"
-
-# Bench-budget drift report: for every budgeted work counter, print a
-# markdown delta table (budget / actual / headroom / drift) so a counter
-# creeping toward its ceiling is visible long before it trips the gate.
-# Exits 1 if any counter is OVER budget; LOOSE rows (actual < 50% of
-# budget) are informational hints to tighten the budget. Requires
-# BENCH_perf.json and BENCH_shard.json (run bench-perf / bench-shard
-# first, or let this target produce them). BENCH_par.json joins the
-# table when the host could produce it (>= 2 cores).
-diff-bench: bench-perf bench-shard bench-par bench-approx
-	$(DUNE) exec tools/diff_bench.exe -- \
-	  --budgets tools/perf_budgets.json BENCH_perf.json \
-	  --budgets tools/alloc_budgets.json BENCH_perf.json \
-	  --budgets tools/shard_budgets.json BENCH_shard.json \
-	  --budgets tools/approx_budgets.json BENCH_approx.json \
-	  $(if $(wildcard BENCH_par.json),--budgets tools/par_budgets.json BENCH_par.json,)
 
 # Fault-injection suite on its own: crash the durable engine at every op
 # boundary, and at every group append of a batched trace (torn writes, bit

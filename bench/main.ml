@@ -595,6 +595,16 @@ let net p =
 (* ---------------------------------------------------------------- *)
 (* Extra: Bechamel steady-state per-element microbenchmark           *)
 
+(* A fit below Bench_targets.reliable_r_square does not explain its
+   samples (scheduler noise dominates a sub-microsecond run on a shared
+   host), so its slope is printed as unreliable rather than as a cost. *)
+let reliable est r2 = r2 >= Bench_targets.reliable_r_square && Float.is_finite est
+
+(* 24 display columns; "²" is two bytes, hence the wider byte pad. *)
+let ns_cell est r2 =
+  if reliable est r2 then Printf.sprintf "%24.1f" est
+  else Printf.sprintf "%25s" (Printf.sprintf "unreliable (r²=%.3f)" r2)
+
 let micro p =
   let m = max 1 (p.m / 10) in
   header
@@ -627,12 +637,12 @@ let micro p =
   let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
   let res = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
   let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) res [] in
-  pf "@[<h>%-28s %14s %10s@]@." "engine" "ns/element" "r^2";
+  pf "@[<h>%-28s %24s %10s@]@." "engine" "ns/element" "r^2";
   List.iter
     (fun (name, o) ->
       let est = match Analyze.OLS.estimates o with Some (e :: _) -> e | _ -> nan in
       let r2 = match Analyze.OLS.r_square o with Some r -> r | None -> nan in
-      pf "@[<h>%-28s %14.1f %10.4f@]@." name est r2)
+      pf "@[<h>%-28s %s %10.4f@]@." name (ns_cell est r2) r2)
     (List.sort compare rows);
   pf "@."
 
@@ -653,8 +663,8 @@ let perf_counter_names =
    pre-generated batches, then bracket [Gc.minor_words] around a
    multi-batch pass: [Rts_obs.Alloc] calibrates out the bracket's own
    boxed floats, so an allocation-free feed path reports exactly 0 —
-   which is what tools/alloc_budgets.json gates for the DT engine, with
-   no tolerance band. The untimed warmup pass first grows every reusable
+   which validate_bench requires of every DT run, with no tolerance
+   band. The untimed warmup pass first grows every reusable
    scratch buffer to its steady-state size: the audit asks "does the hot
    loop allocate per element?", not "do buffers grow once at startup?". *)
 let alloc_words_per_element p (factory : dim:int -> Engine.t) b =
@@ -709,8 +719,8 @@ let perf p =
           let bcfg = { cfg with Scenario.batch = b } in
           let r, stability = measure ~traced:true p bcfg factory in
           (* The allocation audit rides along as a gauge in the run's
-             metrics object, so validate_bench/diff_bench gate it through
-             the same budget machinery as the work counters. *)
+             metrics object, where validate_bench holds every DT run to
+             exactly 0. *)
           let alloc_w = alloc_words_per_element p factory b in
           let r =
             {
@@ -815,7 +825,7 @@ let perf p =
     let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
     let res = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
     let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) res [] in
-    pf "@.@[<h>%-28s %14s %10s@]@." "micro" "ns/element" "r^2";
+    pf "@.@[<h>%-28s %24s %10s@]@." "micro" "ns/element" "r^2";
     List.filter_map
       (fun (name, o) ->
         let est = match Analyze.OLS.estimates o with Some (e :: _) -> e | _ -> nan in
@@ -826,15 +836,12 @@ let perf p =
             1 divisors
         in
         let per_elem = est /. float_of_int div in
-        pf "@[<h>%-28s %14.1f %10.4f@]@." name per_elem r2;
-        if Float.is_finite per_elem then
+        pf "@[<h>%-28s %s %10.4f@]@." name (ns_cell per_elem r2) r2;
+        if Float.is_finite r2 then
           Some
             (Json.Obj
-               [
-                 ("name", Json.Str name);
-                 ("ns_per_element", Json.Num per_elem);
-                 ("r_square", Json.Num r2);
-               ])
+               ([ ("name", Json.Str name); ("r_square", Json.Num r2) ]
+               @ if reliable per_elem r2 then [ ("ns_per_element", Json.Num per_elem) ] else []))
         else None)
       (List.sort compare rows)
   in
@@ -877,8 +884,8 @@ let perf p =
 (* verbatim, or the target aborts. Wall clock is informational (CI    *)
 (* runners are often single-core — the recorded [cores] says whether  *)
 (* a speedup was even physically available); the gate is the merged   *)
-(* deterministic work counters, keyed "engine/k<K>" in                *)
-(* tools/shard_budgets.json.                                          *)
+(* deterministic work counters, keyed "engine/k<K>" in the "shard"    *)
+(* entry of tools/budgets.json.                                       *)
 
 module Shard = Rts_shard.Shard
 module Executor = Rts_shard.Executor
@@ -980,10 +987,10 @@ let shard p =
                       ("engine_sharded", Json.Str r.Scenario.engine_name);
                       ("shards", Json.int k);
                       ("executor", Json.Str (Executor.kind_to_string executor));
-                      (* the worker domains this measurement actually used —
-                         NOT the machine's parallelism hint, which says
-                         nothing about what executed the run *)
-                      ("cores", Json.int workers);
+                      (* the worker domains this measurement actually used,
+                         and how many of them the host could run at once *)
+                      ("domains", Json.int workers);
+                      ("cores", Json.int (min workers (available_cores executor)));
                       ("per_shard_metrics", Json.List (List.map Metrics.to_json per_shard));
                     ])
             | j -> j
@@ -1163,7 +1170,8 @@ let par p =
                         ("shards", Json.int k);
                         ("executor", Json.Str (Executor.kind_to_string executor));
                         ("partition", Json.Str "elements");
-                        ("cores", Json.int workers);
+                        ("domains", Json.int workers);
+                        ("cores", Json.int (min workers cores));
                         ("per_shard_metrics", Json.List (List.map Metrics.to_json per_shard));
                       ])
               | j -> j
@@ -1260,9 +1268,9 @@ let ablation p =
 (* vs a brute-force exact scan, per-op latency of the never-early     *)
 (* engines, and top-n search parity with the full sort. Everything    *)
 (* emitted is deterministic per (scale, seed): the sketches use no    *)
-(* hash families and the workload generator is a pinned PRNG, so      *)
-(* tools/approx_budgets.json gates the error/memory gauges with no    *)
-(* tolerance band.                                                    *)
+(* hash families and the workload generator is a pinned PRNG, so the  *)
+(* "approx" entry of tools/budgets.json gates the error/memory gauges *)
+(* with no tolerance band.                                            *)
 
 module Approx = Rts_approx
 

@@ -44,11 +44,23 @@ let names = List.map (fun x -> x.name) all
 
 let find name = List.find_opt (fun x -> x.name = name) all
 
-(* Shared by diff_bench's drift table and its regression test: a zero
-   budget admits no relative drift — 0/0 is "met exactly", anything else
-   over a zero budget is infinitely over; neither is a percentage, so
-   both render as text instead of the -nan%/+inf% a naive division
-   prints for freshly-added all-zero budget rows. *)
+(* The one derivation of a run's budget key; validate_bench and the
+   manifest's coverage test both go through it. *)
+let budget_key keying run =
+  let str k = Option.bind (Rts_obs.Json.member k run) Rts_obs.Json.get_str in
+  let num k = Option.bind (Rts_obs.Json.member k run) Rts_obs.Json.get_num in
+  match (keying, str "engine") with
+  | No_budgets, _ | _, None -> None
+  | By_batch, Some e -> Option.map (Printf.sprintf "%s/%.0f" e) (num "batch")
+  | By_shards, Some e -> Option.map (Printf.sprintf "%s/k%.0f" e) (num "shards")
+  | By_engine, Some e -> Some e
+
+let reliable_r_square = 0.9
+
+(* A zero budget admits no relative drift — 0/0 is "met exactly",
+   anything else over a zero budget is infinitely over; neither is a
+   percentage, so both render as text instead of the -nan%/+inf% a
+   naive division prints for freshly-added all-zero budget rows. *)
 let drift_cell ~budget ~actual =
   if budget = 0.0 then if actual = 0.0 then "n/a" else "OVER (zero budget)"
   else Printf.sprintf "%+.1f%%" ((actual -. budget) /. budget *. 100.0)

@@ -226,7 +226,7 @@ let test_scenario_deterministic () =
   Alcotest.(check (list (pair int int))) "replay" r1.maturity_log r2.maturity_log;
   Alcotest.(check int) "same ops" r1.ops r2.ops
 
-(* Regression: diff_bench's drift column on zero-budget rows used to
+(* Regression: validate_bench's drift column on zero-budget rows used to
    render the 0/0 division as -nan%; such rows must come out as text. *)
 let test_drift_cell () =
   let cell budget actual = Rts_workload.Bench_targets.drift_cell ~budget ~actual in
@@ -248,6 +248,64 @@ let test_drift_cell () =
          in
          has 0))
     [ (0.0, 0.0); (0.0, 5.0); (1.0, 0.0); (7.0, 7.0) ]
+
+module Json = Rts_obs.Json
+
+let test_budget_key () =
+  let key keying fields = Bench_targets.budget_key keying (Json.Obj fields) in
+  let check name expected got = Alcotest.(check (option string)) name expected got in
+  let dt = ("engine", Json.Str "dt") in
+  check "by batch" (Some "dt/64") (key By_batch [ dt; ("batch", Json.int 64) ]);
+  check "by shards" (Some "dt/k4") (key By_shards [ dt; ("shards", Json.int 4) ]);
+  check "by engine" (Some "crprecis") (key By_engine [ ("engine", Json.Str "crprecis") ]);
+  check "no budgets" None (key No_budgets [ dt; ("batch", Json.int 1); ("shards", Json.int 1) ]);
+  check "batch missing" None (key By_batch [ dt; ("shards", Json.int 2) ]);
+  check "shards missing" None (key By_shards [ dt; ("batch", Json.int 1024) ]);
+  check "engine missing" None (key By_engine [ ("batch", Json.int 1) ])
+
+(* The manifest and the registry cover each other: every figure in
+   tools/budgets.json is a registered target with a budget keying, every
+   such target has an entry, and every entry holds numbers only. *)
+let test_budget_manifest () =
+  (* dune runtest runs in _build/default/test; dune exec in the repo root *)
+  let path = List.find Sys.file_exists [ "../tools/budgets.json"; "tools/budgets.json" ] in
+  let manifest =
+    match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
+    | Json.Obj fields -> List.filter (fun (k, _) -> k.[0] <> '_') fields
+    | _ -> Alcotest.fail "tools/budgets.json is not an object"
+  in
+  let is_num k j = Option.bind (Json.member k j) Json.get_num <> None in
+  List.iter
+    (fun (figure, entry) ->
+      (match Bench_targets.find figure with
+      | Some t ->
+          Alcotest.(check bool) (figure ^ " has a keying") true (t.budget_keying <> No_budgets)
+      | None -> Alcotest.failf "manifest figure %S is not a registered target" figure);
+      Alcotest.(check bool) (figure ^ " scale") true (is_num "scale" entry);
+      Alcotest.(check bool) (figure ^ " seed") true (is_num "seed" entry);
+      match Json.member "budgets" entry with
+      | Some (Json.Obj ((_ :: _) as keys)) ->
+          List.iter
+            (fun (key, ceilings) ->
+              match ceilings with
+              | Json.Obj counters ->
+                  List.iter
+                    (fun (counter, v) ->
+                      Alcotest.(check bool)
+                        (Printf.sprintf "%s %s %s is a number" figure key counter)
+                        true (Json.get_num v <> None))
+                    counters
+              | _ -> Alcotest.failf "%s: budgets entry %S is not an object" figure key)
+            keys
+      | _ -> Alcotest.failf "%s: missing non-empty budgets object" figure)
+    manifest;
+  List.iter
+    (fun (t : Bench_targets.t) ->
+      if t.budget_keying <> No_budgets then
+        Alcotest.(check bool)
+          (t.name ^ " has a manifest entry")
+          true (List.mem_assoc t.name manifest))
+    Bench_targets.all
 
 let () =
   Alcotest.run "workload"
@@ -278,5 +336,10 @@ let () =
           Alcotest.test_case "2d scenario" `Quick test_scenario_2d;
           Alcotest.test_case "deterministic replay" `Quick test_scenario_deterministic;
         ] );
-      ("bench-tools", [ Alcotest.test_case "drift cell rendering" `Quick test_drift_cell ]);
+      ( "bench-tools",
+        [
+          Alcotest.test_case "drift cell rendering" `Quick test_drift_cell;
+          Alcotest.test_case "budget key per keying" `Quick test_budget_key;
+          Alcotest.test_case "budget manifest covers the registry" `Quick test_budget_manifest;
+        ] );
     ]

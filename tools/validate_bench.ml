@@ -1,7 +1,6 @@
-(* validate_bench: CI gate over the machine-readable benchmark output.
+(* validate_bench: the CI gate over the machine-readable benchmark output.
 
-   Usage: validate_bench [--perf-budgets FILE] [--shard-budgets FILE]
-            BENCH_fig4.json [...]
+   Usage: validate_bench [--budgets FILE] BENCH_<figure>.json ...
 
    For every file: parse it with Rts_obs.Json (the same dependency-free
    parser the repository ships), check the document shape the bench
@@ -12,36 +11,34 @@
    must agree).
 
    Which figures exist, which traces must advance strictly, and how a
-   figure's budget file is keyed all come from the {!Bench_targets}
-   registry shared with bench/main.ml — an unknown figure is an error,
-   so a bench target cannot emit output this validator silently skips.
+   figure's runs are keyed in the budget manifest all come from the
+   {!Bench_targets} registry shared with bench/main.ml — an unknown
+   figure is an error, so a bench target cannot emit output this
+   validator silently skips.
 
-   `perf` documents additionally carry repetition stability fields,
-   micro-benchmark rows, and the batched-ingestion verdicts
-   ([dt_counters_no_increase] must be true). `shard` and `par` documents
-   carry the scaling-sweep shape: per-run shard counts, executor,
-   per-shard metric snapshots and the worker-domain count the run
-   actually used (cores = 1 is only consistent with the seq executor or
-   a single slot), plus the maturity-determinism verdict that must be
-   true (the bench aborts before emitting otherwise). `par` documents
-   must additionally claim >= 2 cores and element partitioning — the
-   bench refuses to emit them elsewhere.
+   Some rules are contracts rather than measurements and hold with or
+   without [--budgets]: every [dt] run of a `perf` document allocates
+   exactly 0 words per element, every approximate run of an `approx`
+   document has 0 certified-bound violations, the in-bench verdicts are
+   true, and a Bechamel micro row carries [ns_per_element] only if its
+   fit is reliable (r² >= {!Bench_targets.reliable_r_square}). `shard`
+   and `par` runs record the worker domains they used and the cores
+   those domains could actually occupy (never more than params.cores).
 
-   With [--perf-budgets FILE] / [--shard-budgets FILE], every run of the
-   corresponding document is also held to the checked-in deterministic
-   work-counter budgets — keyed "engine/batch" for perf, "engine/kK" for
-   shard and par sweeps: actual counter <= budget, same scale and seed.
-   [--alloc-budgets FILE] layers a second, independently-keyed budget
-   set onto the same perf runs — the allocation gate
-   (allocated_words_per_element, also deterministic per scale/seed
-   because Rts_obs.Alloc calibrates out its own bracket overhead) —
-   so the work-counter and allocation budgets can live in separate
-   checked-in files and evolve independently.
-   Wall clock is deliberately NOT gated — shared CI runners make it
-   noisy (and the shard sweep may run on a single core, where no
-   parallel speedup is physically available) — the work counters are
-   the deterministic proxy. Exit 0 iff every file passes; problems go
-   to stderr. *)
+   With [--budgets FILE] (the manifest, tools/budgets.json), each
+   document is looked up by its figure, its params.scale and params.seed
+   must equal the entry's, and every run is held to the ceilings under
+   its {!Bench_targets.budget_key}. Each document then gets a markdown
+   table — budget, actual, headroom, drift, status — that CI appends to
+   the job summary:
+     OK    — actual <= budget
+     OVER  — actual exceeds the budget: a work regression, exit 1
+     LOOSE — actual < 50% of budget: the ceiling would let a near-2x
+             regression through; informational, exit 0
+   plus a wall-clock table for information only. Wall clock never gates
+   (shared runners are noisy, and a single-core runner cannot show
+   parallel speedups at all); the work counters are the deterministic
+   proxy. Exit 0 iff every file passes; problems go to stderr. *)
 
 module Json = Rts_obs.Json
 module Bench_targets = Rts_workload.Bench_targets
@@ -62,28 +59,8 @@ let require_num ~file ~where k j =
   | Some _ -> err "%s: %s: %S is not finite" file where k; None
   | None -> err "%s: %s: missing number %S" file where k; None
 
-(* The budget key for one run, per the figure's registry keying. *)
-let budget_key ~file ~where keying run =
-  match (keying : Bench_targets.budget_keying) with
-  | Bench_targets.No_budgets -> None
-  | Bench_targets.By_batch -> (
-      match (str "engine" run, num "batch" run) with
-      | Some engine, Some batch -> Some (Printf.sprintf "%s/%.0f" engine batch)
-      | _, None -> err "%s: %s: run missing \"batch\" (needed for budgets)" file where; None
-      | None, _ -> None)
-  | Bench_targets.By_shards -> (
-      match (str "engine" run, num "shards" run) with
-      | Some engine, Some shards -> Some (Printf.sprintf "%s/k%.0f" engine shards)
-      | _, None -> err "%s: %s: run missing \"shards\" (needed for budgets)" file where; None
-      | None, _ -> None)
-  | Bench_targets.By_engine -> (
-      match str "engine" run with
-      | Some engine -> Some engine
-      | None -> err "%s: %s: run missing \"engine\" (needed for budgets)" file where; None)
-
-let check_run ~file ~figure ~strict ~keying ~budgets i run =
+let check_run ~file ~strict i run =
   let where = Printf.sprintf "runs[%d]" i in
-  ignore figure;
   (match str "engine" run with
   | Some _ -> ()
   | None -> err "%s: %s: missing string \"engine\"" file where);
@@ -122,32 +99,6 @@ let check_run ~file ~figure ~strict ~keying ~budgets i run =
       | _ -> ())
   | None, None, None -> ()
   | _ -> err "%s: %s: reps/total_seconds_min/total_seconds_max must appear together" file where);
-  (* Deterministic budgets (--perf-budgets/--shard-budgets/--alloc-budgets).
-     Each supplied budget set is enforced independently; a run's key must
-     appear in every set that applies to its figure. *)
-  List.iter
-    (fun budgets ->
-      match budget_key ~file ~where keying run with
-      | None -> ()
-      | Some key -> (
-          match mem key budgets with
-          | Some (Json.Obj entries) ->
-              List.iter
-                (fun (counter, budget) ->
-                  match (Json.get_num budget, Option.bind (mem "metrics" run) (num counter)) with
-                  | Some b, Some actual ->
-                      if actual > b then
-                        err "%s: %s (%s): work counter %s = %.0f exceeds budget %.0f" file where
-                          key counter actual b
-                  | Some _, None ->
-                      err "%s: %s (%s): budgeted counter %s missing from run metrics" file where
-                        key counter
-                  | None, _ ->
-                      err "%s: %s (%s): budget for %s is not a number" file where key counter)
-                entries
-          | Some _ -> err "%s: budgets entry %S is not an object" file key
-          | None -> err "%s: %s: no budgets entry for %S" file where key))
-    budgets;
   (* The paper's budget: if the run reports DT messages, they must fit. *)
   (match (num "dt_messages" run, num "dt_message_budget" run) with
   | Some messages, Some budget ->
@@ -195,11 +146,27 @@ let check_run ~file ~figure ~strict ~keying ~budgets i run =
   | Some _, None -> err "%s: %s: net_useful_messages without net_message_bound" file where
   | None, _ -> ()
 
-(* perf documents: batched-ingestion shape and verdicts. *)
+(* perf documents: batched-ingestion shape and verdicts, the
+   zero-allocation contract of the DT feed path (Rts_obs.Alloc
+   calibrates out its own bracket, so an allocation-free loop reports
+   exactly 0 at any scale, on every compiler leg), and micro rows that
+   print a cost only where the Bechamel fit explains the samples. *)
 let check_perf_doc ~file doc =
   (match Option.bind (mem "params" doc) (mem "batches") with
   | Some (Json.List (_ :: _)) -> ()
   | _ -> err "%s: perf document missing non-empty params.batches" file);
+  (match mem "runs" doc with
+  | Some (Json.List runs) ->
+      List.iteri
+        (fun i run ->
+          if str "engine" run = Some "dt" then
+            match Option.bind (mem "metrics" run) (num "allocated_words_per_element") with
+            | Some w when w = 0.0 -> ()
+            | Some w ->
+                err "%s: runs[%d]: dt allocated_words_per_element = %g (must be 0)" file i w
+            | None -> err "%s: runs[%d]: dt run missing allocated_words_per_element" file i)
+        runs
+  | _ -> ());
   (match mem "micro" doc with
   | Some (Json.List rows) ->
       List.iteri
@@ -208,7 +175,14 @@ let check_perf_doc ~file doc =
           (match str "name" row with
           | Some _ -> ()
           | None -> err "%s: %s: missing string \"name\"" file where);
-          ignore (require_num ~file ~where "ns_per_element" row))
+          match require_num ~file ~where "r_square" row with
+          | Some r2 when r2 >= Bench_targets.reliable_r_square ->
+              ignore (require_num ~file ~where "ns_per_element" row)
+          | Some r2 ->
+              if mem "ns_per_element" row <> None then
+                err "%s: %s: ns_per_element on an unreliable fit (r_square %.4f < %g)" file where
+                  r2 Bench_targets.reliable_r_square
+          | None -> ())
         rows
   | _ -> err "%s: perf document missing \"micro\" array" file);
   ignore (require_num ~file ~where:"document" "dt_speedup_1024_vs_1" doc);
@@ -219,32 +193,39 @@ let check_perf_doc ~file doc =
   | _ -> err "%s: perf document missing bool \"dt_counters_no_increase\"" file
 
 (* Per-run shape shared by the sharded sweeps (`shard` and `par`):
-   shard count, executor, per-shard metric snapshots, and an honest
-   core count — every run must record the worker-domain count it
-   actually used, and claiming 1 core is only consistent with the seq
-   executor (everything inline on the caller) or a single slot. *)
-let check_sweep_run ~file ~figure i run =
+   shard count, executor, per-shard metric snapshots, and honest
+   parallelism — [domains] is the worker-domain count the run used
+   (1 is only consistent with the seq executor, which runs everything
+   inline on the caller, or a single slot), and [cores] is how many of
+   those domains the host could run at once, never more than the
+   document's params.cores. *)
+let check_sweep_run ~file ~figure ~param_cores i run =
   let where = Printf.sprintf "runs[%d]" i in
   let shards = require_num ~file ~where "shards" run in
   (match str "executor" run with
   | Some _ -> ()
   | None -> err "%s: %s: %s run missing string \"executor\"" file where figure);
-  (match (require_num ~file ~where "cores" run, str "executor" run, shards) with
-  | Some c, Some executor, Some k ->
-      if c < 1.0 then err "%s: %s: cores %.0f < 1" file where c;
-      if c = 1.0 && executor <> "seq" && k > 1.0 then
+  (match (require_num ~file ~where "domains" run, str "executor" run, shards) with
+  | Some d, Some executor, Some k ->
+      if d < 1.0 then err "%s: %s: domains %.0f < 1" file where d;
+      if d = 1.0 && executor <> "seq" && k > 1.0 then
         err
-          "%s: %s: cores = 1 but executor = %S with %.0f shards — a parallel executor must \
+          "%s: %s: domains = 1 but executor = %S with %.0f shards — a parallel executor must \
            record its true worker-domain count"
           file where executor k
+  | _ -> ());
+  (match (require_num ~file ~where "cores" run, param_cores) with
+  | Some c, Some pc when c < 1.0 || c > pc ->
+      err "%s: %s: cores %.0f outside [1, params.cores = %.0f]" file where c pc
   | _ -> ());
   match mem "per_shard_metrics" run with
   | Some (Json.List (_ :: _)) -> ()
   | _ -> err "%s: %s: %s run missing non-empty \"per_shard_metrics\"" file where figure
 
 let check_sweep_runs ~file ~figure doc =
+  let param_cores = Option.bind (mem "params" doc) (num "cores") in
   match mem "runs" doc with
-  | Some (Json.List runs) -> List.iteri (check_sweep_run ~file ~figure) runs
+  | Some (Json.List runs) -> List.iteri (check_sweep_run ~file ~figure ~param_cores) runs
   | _ -> ()
 
 let check_speedup_obj ~file doc key =
@@ -356,32 +337,104 @@ let check_par_doc ~file doc =
   | _ -> ());
   check_sweep_runs ~file ~figure:"par" doc
 
-(* Budgets file: { "scale": s, "seed": n, "budgets": { key: { counter:
-   max, ... }, ... } }. Scale and seed must match the document's params —
-   counters are deterministic only per (scale, seed). *)
-let load_budgets file =
+(* The budget manifest: { figure: { "scale": s, "seed": n, "budgets":
+   { key: { counter: max, ... }, ... } }, ... }. Keys starting with "_"
+   are comments. *)
+let load_manifest file =
   match In_channel.with_open_text file In_channel.input_all with
   | exception Sys_error msg -> err "%s" msg; None
   | contents -> (
       match Json.of_string contents with
       | exception Json.Parse_error msg -> err "%s: malformed JSON: %s" file msg; None
-      | doc -> (
-          match mem "budgets" doc with
-          | Some (Json.Obj _ as b) -> Some (doc, b)
-          | _ -> err "%s: budgets file missing \"budgets\" object" file; None))
+      | Json.Obj _ as m -> Some (file, m)
+      | _ -> err "%s: budget manifest is not an object" file; None)
 
-let check_budget_params ~file ~budget_file budget_doc doc =
+(* Counters are deterministic only per (scale, seed): the document must
+   carry both, equal to the manifest entry's. *)
+let check_budget_params ~file ~manifest_file ~figure entry doc =
   List.iter
     (fun k ->
-      match (num k budget_doc, Option.bind (mem "params" doc) (num k)) with
+      match (num k entry, Option.bind (mem "params" doc) (num k)) with
+      | None, _ -> err "%s: entry %S missing number %S" manifest_file figure k
+      | Some b, None ->
+          err "%s: params.%s missing — the %S budgets hold only at %s = %g" file k figure k b
       | Some b, Some p when b <> p ->
-          err "%s: params.%s = %g but %s budgets were generated at %s = %g — regenerate budgets"
-            file k p budget_file k b
-      | None, _ -> err "%s: budgets file missing number %S" budget_file k
-      | _ -> ())
+          err "%s: params.%s = %g but the %S budgets were generated at %s = %g — regenerate \
+               budgets"
+            file k p figure k b
+      | Some _, Some _ -> ())
     [ "scale"; "seed" ]
 
-let check_file ~perf_budgets ~shard_budgets ~alloc_budgets ~approx_budgets file =
+(* The ceilings of a figure's manifest entry, or an error — a figure
+   never borrows another figure's entry. *)
+let figure_budgets ~file ~figure doc (manifest_file, manifest) =
+  match mem figure manifest with
+  | None -> err "%s: %s has no entry for figure %S" file manifest_file figure; None
+  | Some entry -> (
+      check_budget_params ~file ~manifest_file ~figure entry doc;
+      match mem "budgets" entry with
+      | Some (Json.Obj _ as b) -> Some b
+      | _ -> err "%s: entry %S missing \"budgets\" object" manifest_file figure; None)
+
+type row = { key : string; counter : string; budget : float; actual : float }
+
+let status r =
+  if r.actual > r.budget then "OVER" else if r.actual < 0.5 *. r.budget then "LOOSE" else "OK"
+
+let budget_rows ~file ~keying budgets i run =
+  let where = Printf.sprintf "runs[%d]" i in
+  match Bench_targets.budget_key keying run with
+  | None -> err "%s: %s: run has no budget key (engine plus batch/shards)" file where; []
+  | Some key -> (
+      match mem key budgets with
+      | Some (Json.Obj entries) ->
+          List.filter_map
+            (fun (counter, budget) ->
+              match (Json.get_num budget, Option.bind (mem "metrics" run) (num counter)) with
+              | Some budget, Some actual ->
+                  if actual > budget then
+                    err "%s: %s (%s): work counter %s = %.0f exceeds budget %.0f" file where key
+                      counter actual budget;
+                  Some { key; counter; budget; actual }
+              | Some _, None ->
+                  err "%s: %s (%s): budgeted counter %s missing from run metrics" file where key
+                    counter;
+                  None
+              | None, _ ->
+                  err "%s: %s (%s): budget for %s is not a number" file where key counter;
+                  None)
+            entries
+      | Some _ -> err "%s: budgets entry %S is not an object" file key; []
+      | None -> err "%s: %s: no budgets entry for %S" file where key; [])
+
+let print_tables ~file ~figure ~keying rows runs =
+  Printf.printf "### %s (`%s`): work-counter drift\n\n" figure file;
+  if rows = [] then Printf.printf "_no budgeted counters_\n\n"
+  else begin
+    Printf.printf "| key | counter | budget | actual | headroom | drift | status |\n";
+    Printf.printf "|---|---|---:|---:|---:|---:|---|\n";
+    List.iter
+      (fun r ->
+        Printf.printf "| %s | %s | %.0f | %.0f | %.0f | %s | %s |\n" r.key r.counter r.budget
+          r.actual (r.budget -. r.actual)
+          (Bench_targets.drift_cell ~budget:r.budget ~actual:r.actual)
+          (status r))
+      rows;
+    Printf.printf "\n"
+  end;
+  Printf.printf "Wall clock (informational — never gated):\n\n";
+  Printf.printf "| run | per_op_us | seconds |\n|---|---:|---:|\n";
+  List.iter
+    (fun run ->
+      match
+        (Bench_targets.budget_key keying run, num "per_op_us" run, num "total_seconds" run)
+      with
+      | Some k, Some us, Some s -> Printf.printf "| %s | %.3f | %.3f |\n" k us s
+      | _ -> ())
+    runs;
+  Printf.printf "\n"
+
+let check_file ~manifest file =
   match In_channel.with_open_text file In_channel.input_all with
   | exception Sys_error msg -> err "%s" msg
   | contents -> (
@@ -420,64 +473,41 @@ let check_file ~perf_budgets ~shard_budgets ~alloc_budgets ~approx_budgets file 
           if figure = "shard" then check_shard_doc ~file doc;
           if figure = "par" then check_par_doc ~file doc;
           if figure = "approx" then check_approx_doc ~file doc;
-          let run_budgets =
-            let pick = function
-              | Some (budget_file, (budget_doc, b)) ->
-                  check_budget_params ~file ~budget_file budget_doc doc;
-                  [ b ]
-              | None -> []
-            in
-            match keying with
-            | Bench_targets.By_batch -> pick perf_budgets @ pick alloc_budgets
-            | Bench_targets.By_shards -> pick shard_budgets
-            | Bench_targets.By_engine -> pick approx_budgets
-            | Bench_targets.No_budgets -> []
+          let budgets =
+            match manifest with
+            | Some m when keying <> Bench_targets.No_budgets -> figure_budgets ~file ~figure doc m
+            | _ -> None
           in
-          (match mem "runs" doc with
+          match mem "runs" doc with
           | Some (Json.List []) -> err "%s: \"runs\" is empty" file
           | Some (Json.List runs) ->
-              List.iteri
-                (fun i run ->
-                  check_run ~file ~figure ~strict ~keying ~budgets:run_budgets i run)
-                runs;
+              List.iteri (check_run ~file ~strict) runs;
+              Option.iter
+                (fun b ->
+                  let rows = List.concat (List.mapi (budget_rows ~file ~keying b) runs) in
+                  print_tables ~file ~figure ~keying rows runs)
+                budgets;
               Printf.printf "validate-bench: %s: %d runs ok%s\n" file (List.length runs)
-                (if run_budgets <> [] then " (budgets enforced)" else "")
-          | _ -> err "%s: missing \"runs\" array" file))
+                (if budgets <> None then " (budgets enforced)" else "")
+          | _ -> err "%s: missing \"runs\" array" file)
+
+let usage () =
+  prerr_endline "usage: validate_bench [--budgets FILE] BENCH_<figure>.json ...";
+  exit 2
 
 let () =
-  let perf_budgets = ref None
-  and shard_budgets = ref None
-  and alloc_budgets = ref None
-  and approx_budgets = ref None
-  and files = ref [] in
-  let load into path =
-    match load_budgets path with Some b -> into := Some (path, b) | None -> ()
-  in
+  let manifest = ref None and files = ref [] in
   let rec parse = function
-    | "--perf-budgets" :: path :: rest -> load perf_budgets path; parse rest
-    | "--shard-budgets" :: path :: rest -> load shard_budgets path; parse rest
-    | "--alloc-budgets" :: path :: rest -> load alloc_budgets path; parse rest
-    | "--approx-budgets" :: path :: rest -> load approx_budgets path; parse rest
-    | [ ("--perf-budgets" | "--shard-budgets" | "--alloc-budgets" | "--approx-budgets") ] ->
-        prerr_endline
-          "validate-bench: --perf-budgets/--shard-budgets/--alloc-budgets/--approx-budgets need \
-           a FILE";
-        exit 2
+    | "--budgets" :: path :: rest ->
+        manifest := load_manifest path;
+        parse rest
+    | f :: _ when String.length f > 1 && f.[0] = '-' -> usage ()
     | f :: rest -> files := f :: !files; parse rest
     | [] -> ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let files = List.rev !files in
-  if files = [] then begin
-    prerr_endline
-      "usage: validate_bench [--perf-budgets FILE] [--shard-budgets FILE] [--alloc-budgets FILE] \
-       [--approx-budgets FILE] BENCH_<fig>.json ...";
-    exit 2
-  end;
-  List.iter
-    (check_file ~perf_budgets:!perf_budgets ~shard_budgets:!shard_budgets
-       ~alloc_budgets:!alloc_budgets ~approx_budgets:!approx_budgets)
-    files;
+  if !files = [] then usage ();
+  List.iter (check_file ~manifest:!manifest) (List.rev !files);
   if !errors > 0 then begin
     Printf.eprintf "validate-bench: %d problem(s)\n" !errors;
     exit 1
